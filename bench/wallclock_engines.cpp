@@ -71,6 +71,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -82,7 +83,6 @@
 #include "core/planner.hpp"
 #include "swmpi/collectives.hpp"
 #include "swmpi/fault.hpp"
-#include "swmpi/mailbox.hpp"
 #include "swmpi/runtime.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/run_report.hpp"
@@ -384,7 +384,9 @@ ConvergeTrace run_converging_assign(const data::Dataset& ds,
 struct GatedSection {
   ConvergeTrace gated;
   ConvergeTrace ungated;
-  double tail_speedup = 0;  ///< assign wall ratio, iterations >= kTailStart
+  /// Assign wall ratio over iterations >= kTailStart; NaN (JSON null) when
+  /// the run converged before the tail began.
+  double tail_speedup = 0;
   bool identical = false;   ///< both variants + serial Lloyd bit-identical
 };
 
@@ -427,7 +429,8 @@ GatedSection run_gated_section(std::size_t n, std::size_t k, std::size_t d,
     gated_tail += out.gated.assign_s[it];
     ungated_tail += out.ungated.assign_s[it];
   }
-  out.tail_speedup = gated_tail > 0 ? ungated_tail / gated_tail : 0;
+  out.tail_speedup = gated_tail > 0 ? ungated_tail / gated_tail
+                                    : std::numeric_limits<double>::quiet_NaN();
   return out;
 }
 
@@ -463,9 +466,13 @@ void emit_gated(const GatedSection& g, util::JsonWriter& w) {
   w.kv("tail_start_iteration", static_cast<std::uint64_t>(kTailStart));
   w.kv("assign_tail_speedup", g.tail_speedup);
   w.end_object();
-  std::printf("gated assign tail speedup (iters >= %zu): %.2fx, "
+  char tail[32] = "n/a";
+  if (!std::isnan(g.tail_speedup)) {
+    std::snprintf(tail, sizeof tail, "%.2fx", g.tail_speedup);
+  }
+  std::printf("gated assign tail speedup (iters >= %zu): %s, "
               "final prune rate %.3f, bit-identical: %s\n",
-              kTailStart, g.tail_speedup,
+              kTailStart, tail,
               g.gated.prune_rate.empty() ? 0.0 : g.gated.prune_rate.back(),
               g.identical ? "yes" : "NO");
 }
@@ -1138,18 +1145,18 @@ TelemetryCell run_telemetry_cell() {
   return cell;
 }
 
-/// A/B mailbox cell: the same Level 3 run two ways — the legacy
-/// mutex/condvar mailboxes with the strictly sequential tile loop vs the
-/// lock-free SPSC rings with the double-buffered tile pipeline.
+/// Tile-pipeline cell: the same Level 3 run two ways — the strictly
+/// sequential tile loop vs the double-buffered tile pipeline, both on the
+/// lock-free SPSC mailbox rings.
 ///
 /// The headline number is the modeled iteration clock (the paper's
 /// metric): what share of `last_iteration_cost.total_s()` the ranks spend
 /// in per-tile combine traffic (`net_comm_s`). The shape forces a sliced
-/// plan (m'_group = 4) so every tile's MinLoc2 combine is a real 4-way
-/// allreduce; the pipeline issues tile t's combine under tile t+1's
-/// distance sweep, so the ring side's modeled stall share must drop well
-/// below the strictly sequential mutex side's. Deterministic — the model
-/// does not see host scheduling.
+/// plan (m'_group = 4) so every tile's combine is a real 4-way allreduce;
+/// the pipeline issues tile t's combine under tile t+1's distance sweep,
+/// so the pipelined side's modeled stall share must drop well below the
+/// sequential side's. Deterministic — the model does not see host
+/// scheduling or the mailbox transport.
 ///
 /// Host-observed stall (Σ swmpi.recv.stall_s across ranks / aggregate
 /// rank-seconds, i.e. elapsed wall seconds x rank count, best of N) rides
@@ -1158,19 +1165,19 @@ TelemetryCell run_telemetry_cell() {
 /// more than one rank blocks at once; rank-seconds is the denominator that
 /// makes it a true utilisation fraction. On shared or single-core CI hosts
 /// the rank threads oversubscribe the machine and every blocking
-/// collective waits on the scheduler regardless of the transport, so the
-/// host numbers are informational only — same caveat as the other
-/// wall-clock cells. Both runs must stay bit-identical.
-struct MailboxCell {
-  double mutex_stall_share = 0;  ///< modeled net share, sequential mutex side
-  double ring_stall_share = 0;   ///< modeled net share, pipelined ring side
-  double improvement = 0;        ///< mutex share / ring share
-  double host_mutex_stall_share = 0;
-  double host_ring_stall_share = 0;
+/// collective waits on the scheduler, so the host numbers are
+/// informational only — same caveat as the other wall-clock cells. Both
+/// runs must stay bit-identical.
+struct PipelineCell {
+  double sequential_stall_share = 0;  ///< modeled net share, sequential
+  double pipelined_stall_share = 0;   ///< modeled net share, pipelined
+  double improvement = 0;  ///< sequential share / pipelined share
+  double host_sequential_stall_share = 0;
+  double host_pipelined_stall_share = 0;
   bool identical = false;
 };
 
-MailboxCell run_mailbox_cell() {
+PipelineCell run_pipeline_cell() {
   // High-d shape on purpose: the MinLoc2 combine carries 24 bytes per
   // sample regardless of d, while the sweep compute window that hides it
   // grows with d*k — so the overlap's effect on the modeled iteration
@@ -1186,9 +1193,9 @@ MailboxCell run_mailbox_cell() {
   config.tolerance = -1;
   config.init = core::InitMethod::kFirstK;
   config.gate_assign = false;
-  // Pin the chain kernel: this cell isolates mailbox transport + tile
-  // pipelining, so the sweep that hides the combine must stay the one the
-  // ring/pipeline baseline was calibrated against. The GEMM sweep is ~4x
+  // Pin the chain kernel: this cell isolates tile pipelining, so the sweep
+  // that hides the combine must stay the one the pipeline baseline was
+  // calibrated against. The GEMM sweep is ~4x
   // faster, which (correctly) shrinks the overlap window and the stall
   // share contrast — that trade-off is the gemm_assign cell's story.
   config.gemm_assign = false;
@@ -1198,19 +1205,16 @@ MailboxCell run_mailbox_cell() {
   constexpr int kReps = 2;
 
   struct Side {
-    swmpi::MailboxMode mode = swmpi::MailboxMode::kSpscRings;
     bool pipeline = true;
     double stall_share = 0;
     double host_stall_share = 0;
     core::KmeansResult result;
   };
-  Side mutex_side;
-  mutex_side.mode = swmpi::MailboxMode::kMutexQueue;
-  mutex_side.pipeline = false;
-  Side ring_side;
+  Side sequential;
+  sequential.pipeline = false;
+  Side pipelined;
 
-  for (Side* side : {&mutex_side, &ring_side}) {
-    swmpi::set_default_mailbox_mode(side->mode);
+  for (Side* side : {&sequential, &pipelined}) {
     config.pipeline_tiles = side->pipeline;
     // Best-of-N host share: the minimum is the scheduler-noise-free
     // estimate of how much stall is structural rather than preemption.
@@ -1249,23 +1253,21 @@ MailboxCell run_mailbox_cell() {
       side->result = std::move(r);
     }
   }
-  swmpi::set_default_mailbox_mode(swmpi::MailboxMode::kSpscRings);
-  config.pipeline_tiles = true;
 
-  MailboxCell cell;
-  cell.mutex_stall_share = mutex_side.stall_share;
-  cell.ring_stall_share = ring_side.stall_share;
-  cell.host_mutex_stall_share = mutex_side.host_stall_share;
-  cell.host_ring_stall_share = ring_side.host_stall_share;
+  PipelineCell cell;
+  cell.sequential_stall_share = sequential.stall_share;
+  cell.pipelined_stall_share = pipelined.stall_share;
+  cell.host_sequential_stall_share = sequential.host_stall_share;
+  cell.host_pipelined_stall_share = pipelined.host_stall_share;
   // Floor the denominator: a fully-hidden combine models zero net stall.
   cell.improvement =
-      mutex_side.stall_share / std::max(ring_side.stall_share, 1e-12);
+      sequential.stall_share / std::max(pipelined.stall_share, 1e-12);
   cell.identical =
-      mutex_side.result.iterations == ring_side.result.iterations &&
-      mutex_side.result.assignments == ring_side.result.assignments &&
-      std::memcmp(mutex_side.result.centroids.data(),
-                  ring_side.result.centroids.data(),
-                  mutex_side.result.centroids.size() * sizeof(float)) == 0;
+      sequential.result.iterations == pipelined.result.iterations &&
+      sequential.result.assignments == pipelined.result.assignments &&
+      std::memcmp(sequential.result.centroids.data(),
+                  pipelined.result.centroids.data(),
+                  sequential.result.centroids.size() * sizeof(float)) == 0;
   return cell;
 }
 
@@ -1624,7 +1626,7 @@ int run_smoke() {
                 "convergence (n=1024, k=16, d=8, 4-CG group)");
   const GatedSection g = run_gated_section(1024, 16, 8, kGroupCgs, 40);
   const TelemetryCell tel = run_telemetry_cell();
-  const MailboxCell mbox = run_mailbox_cell();
+  const PipelineCell pipe = run_pipeline_cell();
   const GemmCell gemm = run_gemm_cell();
   const HierCell hier = run_hier_cell();
   const SdcCell sdc = run_sdc_cell();
@@ -1670,13 +1672,15 @@ int run_smoke() {
     }
     w.end_array();
     w.end_object();
-    w.key("mailbox").begin_object();
-    w.kv("mutex_stall_share", mbox.mutex_stall_share);
-    w.kv("ring_stall_share", mbox.ring_stall_share);
-    w.kv("stall_share_improvement", mbox.improvement);
-    w.kv("host_observed_mutex_stall_share", mbox.host_mutex_stall_share);
-    w.kv("host_observed_ring_stall_share", mbox.host_ring_stall_share);
-    w.kv("bit_identical", mbox.identical);
+    w.key("tile_pipeline").begin_object();
+    w.kv("sequential_stall_share", pipe.sequential_stall_share);
+    w.kv("pipelined_stall_share", pipe.pipelined_stall_share);
+    w.kv("stall_share_improvement", pipe.improvement);
+    w.kv("host_observed_sequential_stall_share",
+         pipe.host_sequential_stall_share);
+    w.kv("host_observed_pipelined_stall_share",
+         pipe.host_pipelined_stall_share);
+    w.kv("bit_identical", pipe.identical);
     w.end_object();
     emit_gemm(gemm, w);
     emit_hier(hier, w);
@@ -1698,13 +1702,14 @@ int run_smoke() {
                 tel.attribution_max_abs_err,
                 tel.flight_identical ? "yes" : "NO");
   }
-  std::printf("mailbox stall share of modeled iteration: mutex %.2f%%, "
-              "rings %.2f%% (%.1fx cut); host-observed: mutex %.2f%%, "
-              "rings %.2f%%; bit-identical: %s\n",
-              mbox.mutex_stall_share * 100.0, mbox.ring_stall_share * 100.0,
-              mbox.improvement, mbox.host_mutex_stall_share * 100.0,
-              mbox.host_ring_stall_share * 100.0,
-              mbox.identical ? "yes" : "NO");
+  std::printf("combine stall share of modeled iteration: sequential "
+              "%.2f%%, pipelined %.2f%% (%.1fx cut); host-observed: "
+              "sequential %.2f%%, pipelined %.2f%%; bit-identical: %s\n",
+              pipe.sequential_stall_share * 100.0,
+              pipe.pipelined_stall_share * 100.0, pipe.improvement,
+              pipe.host_sequential_stall_share * 100.0,
+              pipe.host_pipelined_stall_share * 100.0,
+              pipe.identical ? "yes" : "NO");
   std::printf("sdc defense: %zu/%zu injections detected, %zu localized "
               "retries, %zu rollbacks, modeled overhead %.2f%%\n",
               sdc.detected, sdc.injections, sdc.localized_retries,
@@ -1715,18 +1720,18 @@ int run_smoke() {
                  "FATAL: gated assign diverged from ungated/serial Lloyd\n");
     return 1;
   }
-  if (!mbox.identical) {
+  if (!pipe.identical) {
     std::fprintf(stderr,
-                 "FATAL: mutex-mailbox and ring-mailbox runs diverged\n");
+                 "FATAL: sequential and pipelined tile runs diverged\n");
     return 1;
   }
-  if (mbox.improvement < 2.0) {
+  if (pipe.improvement < 2.0) {
     // The modeled shares are deterministic, so this is a real regression
     // in the tile pipeline or the cost model, not bench noise.
     std::fprintf(stderr,
-                 "FATAL: pipelined ring mailbox cut modeled stall share only "
+                 "FATAL: pipelined tiles cut modeled stall share only "
                  "%.2fx (need >= 2x)\n",
-                 mbox.improvement);
+                 pipe.improvement);
     return 1;
   }
   if (!tel.identical) {
@@ -1896,7 +1901,7 @@ int run() {
       .add(gate.tail_speedup, 2);
   bench::emit(table, "wallclock_engines");
 
-  const MailboxCell mbox = run_mailbox_cell();
+  const PipelineCell pipe = run_pipeline_cell();
   const GemmCell gemm = run_gemm_cell();
   const HierCell hier = run_hier_cell();
 
@@ -1922,13 +1927,15 @@ int run() {
   w.kv("level3_engine_iteration_s", engine_seconds);
   w.kv("simulated_iteration_s", engine.last_iteration_cost.total_s());
   emit_gated(gate, w);
-  w.key("mailbox").begin_object();
-  w.kv("mutex_stall_share", mbox.mutex_stall_share);
-  w.kv("ring_stall_share", mbox.ring_stall_share);
-  w.kv("stall_share_improvement", mbox.improvement);
-  w.kv("host_observed_mutex_stall_share", mbox.host_mutex_stall_share);
-  w.kv("host_observed_ring_stall_share", mbox.host_ring_stall_share);
-  w.kv("bit_identical", mbox.identical);
+  w.key("tile_pipeline").begin_object();
+  w.kv("sequential_stall_share", pipe.sequential_stall_share);
+  w.kv("pipelined_stall_share", pipe.pipelined_stall_share);
+  w.kv("stall_share_improvement", pipe.improvement);
+  w.kv("host_observed_sequential_stall_share",
+       pipe.host_sequential_stall_share);
+  w.kv("host_observed_pipelined_stall_share",
+       pipe.host_pipelined_stall_share);
+  w.kv("bit_identical", pipe.identical);
   w.end_object();
   emit_gemm(gemm, w);
   emit_hier(hier, w);
@@ -1937,19 +1944,20 @@ int run() {
   std::printf("assign speedup (per-sample / batched): %.2fx\n", speedup);
   std::printf("update speedup (root-serialized / sharded): %.2fx\n",
               update_speedup);
-  std::printf("mailbox stall share of modeled iteration: mutex %.2f%%, "
-              "rings %.2f%% (%.1fx cut), bit-identical: %s\n",
-              mbox.mutex_stall_share * 100.0, mbox.ring_stall_share * 100.0,
-              mbox.improvement, mbox.identical ? "yes" : "NO");
+  std::printf("combine stall share of modeled iteration: sequential "
+              "%.2f%%, pipelined %.2f%% (%.1fx cut), bit-identical: %s\n",
+              pipe.sequential_stall_share * 100.0,
+              pipe.pipelined_stall_share * 100.0, pipe.improvement,
+              pipe.identical ? "yes" : "NO");
   std::printf("(json: BENCH_wallclock.json)\n");
   if (!gate.identical) {
     std::fprintf(stderr,
                  "FATAL: gated assign diverged from ungated/serial Lloyd\n");
     return 1;
   }
-  if (!mbox.identical) {
+  if (!pipe.identical) {
     std::fprintf(stderr,
-                 "FATAL: mutex-mailbox and ring-mailbox runs diverged\n");
+                 "FATAL: sequential and pipelined tile runs diverged\n");
     return 1;
   }
   if (const int rc = check_gemm_cell(gemm); rc != 0) {
@@ -1965,7 +1973,7 @@ int run() {
   // so they are reported for trend-tracking but never fail the bench.
   std::printf("wall-clock ratios are informational; exit gates on modeled "
               "quantities and bit-identity only\n");
-  return mbox.improvement >= 2.0 ? 0 : 2;
+  return pipe.improvement >= 2.0 ? 0 : 2;
 }
 
 }  // namespace

@@ -349,26 +349,6 @@ TEST_P(SdcEngineMatrix, LocalizedRecoveryEngagesBeforeCheckpointRollback) {
   }
 }
 
-TEST_P(SdcEngineMatrix, DefenseOnCleanRunIsBitIdenticalToDefenseOff) {
-  // Arming every detector on a corruption-free run must not move a single
-  // bit: the scrubbers only read, the ABFT verify only compares, and the
-  // conservation guard only sums a copy.
-  const Level level = GetParam();
-  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
-  const data::Dataset ds = data::make_blobs(160, 6, 4, 11);
-  KmeansConfig off = sdc_config();
-  off.sdc_checks = false;
-  const KmeansConfig on = sdc_config();
-  const KmeansResult ref =
-      core::HierarchicalKmeans(machine).fit_level(level, ds, off);
-  const KmeansResult got =
-      core::HierarchicalKmeans(machine).fit_level(level, ds, on);
-  EXPECT_EQ(got.iterations, ref.iterations);
-  EXPECT_EQ(got.assignments, ref.assignments);
-  EXPECT_EQ(core::centroid_max_abs_diff(got.centroids, ref.centroids), 0.0);
-  EXPECT_DOUBLE_EQ(got.inertia, ref.inertia);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllLevels, SdcEngineMatrix,
                          ::testing::Values(Level::kLevel1, Level::kLevel2,
                                            Level::kLevel3),

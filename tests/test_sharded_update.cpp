@@ -219,58 +219,6 @@ TEST(ShardedUpdate, EnginesMatchSerialLloydBitForBit) {
   }
 }
 
-/// The hierarchical collective schedule across a supernode boundary must
-/// not move a bit. tiny(8, 4, ...) spans two supernodes (16 CGs, eight per
-/// supernode), so every engine collective runs the two-level path with a
-/// live inter-supernode stage. Real-valued samples: unlike the integer
-/// grid above, the accumulator sums here are association-sensitive, so
-/// this match leans on the schedule's fold-order proof end to end.
-TEST(ShardedUpdate, HierCollectivesBitIdenticalAcrossSupernodes) {
-  const std::size_t n = 257;
-  const std::size_t d = 6;
-  std::vector<float> values(n * d);
-  std::uint64_t state = 99991;
-  for (float& v : values) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    v = static_cast<float>((state >> 33) % 4096) / 256.0f - 8.0f;
-  }
-  const data::Dataset ds("real-blobs",
-                         util::Matrix::from_vector(n, d, std::move(values)));
-  KmeansConfig config;
-  config.k = 9;
-  config.max_iterations = 8;
-  const simarch::MachineConfig machine =
-      simarch::MachineConfig::tiny(8, 4, 8192);
-  ASSERT_GT(machine.num_supernodes(), 1u);
-  const KmeansResult ref = lloyd_serial(ds, config);
-  for (const Level level :
-       {Level::kLevel1, Level::kLevel2, Level::kLevel3}) {
-    KmeansConfig hier_cfg = config;
-    hier_cfg.hier_collectives = true;
-    KmeansConfig flat_cfg = config;
-    flat_cfg.hier_collectives = false;
-    const KmeansResult hier = run_level(level, ds, hier_cfg, machine);
-    const KmeansResult flat = run_level(level, ds, flat_cfg, machine);
-    EXPECT_EQ(hier.iterations, ref.iterations) << level_name(level);
-    EXPECT_EQ(hier.assignments, ref.assignments) << level_name(level);
-    EXPECT_EQ(flat.iterations, hier.iterations) << level_name(level);
-    EXPECT_EQ(flat.assignments, hier.assignments) << level_name(level);
-    ASSERT_EQ(hier.centroids.rows(), ref.centroids.rows());
-    for (std::size_t j = 0; j < config.k; ++j) {
-      for (std::size_t u = 0; u < d; ++u) {
-        const auto hier_bits =
-            std::bit_cast<std::uint32_t>(hier.centroids.at(j, u));
-        EXPECT_EQ(hier_bits,
-                  std::bit_cast<std::uint32_t>(ref.centroids.at(j, u)))
-            << level_name(level) << " vs serial, j=" << j << " u=" << u;
-        EXPECT_EQ(hier_bits,
-                  std::bit_cast<std::uint32_t>(flat.centroids.at(j, u)))
-            << level_name(level) << " vs flat, j=" << j << " u=" << u;
-      }
-    }
-  }
-}
-
 /// Duplicate first-k seeds leave the duplicate centroids with no members:
 /// serial Lloyd and all three engines must report the same (nonzero)
 /// empty-cluster count instead of silently freezing them.
