@@ -1,10 +1,14 @@
 /// Microbenchmarks (google-benchmark) for the hot kernels of the
-/// functional engines: the distance scan, dimension-sliced partials,
+/// functional engines: the distance scan, the GEMM assign tile, the safe
+/// radii, dimension-sliced partials,
 /// accumulator updates, the thread-backed collectives, and dataset
 /// generation throughput. These measure *host* wall-clock (the engines'
 /// real cost when used as a library), not simulated Sunway time.
 
 #include <benchmark/benchmark.h>
+
+#include <span>
+#include <vector>
 
 #include "core/engine_util.hpp"
 #include "core/lloyd.hpp"
@@ -37,6 +41,62 @@ BENCHMARK(BM_DistanceScan)
     ->Args({64, 64})
     ->Args({8, 4096})
     ->Args({256, 256});
+
+/// The l3 assign tile: 256 uniform samples against k = 512 centroids at
+/// d = 256, the centroids a second uniform draw.
+struct AssignTile {
+  static constexpr std::size_t kSamples = 256;
+  static constexpr std::size_t kK = 512;
+  static constexpr std::size_t kD = 256;
+  data::Dataset samples = data::make_uniform(kSamples, kD, 3);
+  util::Matrix centroids = data::make_uniform(kK, kD, 4).samples();
+  core::detail::CentroidNormCache norms;
+  AssignTile() { norms.refresh_full(centroids); }
+};
+
+constexpr double kAssignTileFlops = 2.0 * AssignTile::kSamples *
+                                    AssignTile::kK * AssignTile::kD;
+
+/// The whole l3 assign tile into top-two records: the chain kernel
+/// (arg 0) vs the GEMM selector with candidate compaction and exact
+/// rescore (arg 1). The records are byte-identical.
+void BM_GemmTile(benchmark::State& state) {
+  using core::detail::TileScore2;
+  const AssignTile tile;
+  std::vector<TileScore2> scores(AssignTile::kSamples);
+  const std::span<TileScore2> span(scores);
+  for (auto _ : state) {
+    core::detail::clear_scores(span);
+    if (state.range(0) == 1) {
+      core::detail::score_tile_gemm(tile.samples, 0, AssignTile::kSamples,
+                                    tile.centroids, tile.norms.norms, 0,
+                                    AssignTile::kK, span);
+    } else {
+      core::detail::score_tile(tile.samples, 0, AssignTile::kSamples,
+                               tile.centroids, 0, AssignTile::kK, span);
+    }
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["flops"] = benchmark::Counter(
+      kAssignTileFlops, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmTile)->Arg(0)->Arg(1);
+
+/// Hamerly safe radii at k = 512, d = 256: k(k-1)/2 centroid pairs through
+/// the blocked panel sweep.
+void BM_SafeRadii(benchmark::State& state) {
+  const util::Matrix centroids = data::make_uniform(512, 256, 5).samples();
+  std::vector<double> safe;
+  for (auto _ : state) {
+    core::detail::compute_safe_radii(centroids, safe);
+    benchmark::DoNotOptimize(safe.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          512 * 511 / 2);
+}
+BENCHMARK(BM_SafeRadii);
 
 void BM_PartialDistance(benchmark::State& state) {
   const std::size_t d = static_cast<std::size_t>(state.range(0));

@@ -243,8 +243,12 @@ class EngineLoop {
       return;
     }
     if (run.gemm) {
-      score_tile_gemm_gen(dataset, index, scores.size(), centroids, norms,
-                          j_begin, j_end, scores, gemm_hooks_);
+      const std::size_t fallback_rows =
+          score_tile_gemm_gen(dataset, index, scores.size(), centroids, norms,
+                              j_begin, j_end, scores, gemm_hooks_);
+      if (fallback_ctr_ != nullptr) {
+        fallback_ctr_->add(fallback_rows);
+      }
     } else {
       score_tile_gen(dataset, index, scores.size(), centroids, j_begin, j_end,
                      scores);
@@ -259,6 +263,10 @@ class EngineLoop {
   telemetry::Counter* const pruned_ctr_ =
       counter("engine.gate.pruned_samples");
   telemetry::Counter* const swept_ctr_ = counter("engine.gate.swept_samples");
+  // Rows whose GEMM candidate list overflowed into the exact full-slice
+  // sweep (coincident-centroid piles); every rank counts its own slice.
+  telemetry::Counter* const fallback_ctr_ =
+      counter("engine.gemm.fallback_rows", run.gemm);
   telemetry::Counter* const sim_net_ = counter("sim.net_bytes", cg == 0);
   telemetry::Counter* const sim_dma_ = counter("sim.dma_bytes", cg == 0);
   double rank_clock_ = 0;

@@ -284,11 +284,19 @@ inline void score_tile_ids(const data::Dataset& dataset,
 // tie-break — are byte-identical to the serial left-to-right scan.
 // ---------------------------------------------------------------------------
 
-/// Per-row candidate capacity of the GEMM selector. Overflow (more than
-/// this many centroids within tau of the running top-two) falls back to an
-/// exact full-slice sweep for that row — the adversarial coincident-
-/// centroid case, where the GEMM path would rescore everything anyway.
+/// Per-row candidate capacity of the GEMM selector. A full list is first
+/// compacted against the row's current bar; only when more than this many
+/// centroids still sit within tau of the running top-two does the row fall
+/// back to an exact full-slice sweep — the adversarial coincident-centroid
+/// case, where the GEMM path would rescore everything anyway.
 inline constexpr std::size_t kGemmCandidates = 8;
+
+/// One selector candidate: the centroid index and its GEMM lower bound
+/// g - tau, kept so a full list can be re-screened against a tighter bar.
+struct GemmCandidate {
+  double lower = 0;
+  std::uint32_t index = 0;
+};
 
 /// ||c||^2 of one row in double: ascending-u sum of exact float squares
 /// (a float's square is exact in double), the canonical norm the cache and
@@ -425,41 +433,63 @@ inline double gemm_tau_scale(std::size_t d) {
          std::numeric_limits<double>::epsilon();
 }
 
+/// Stable in-place compaction of a full candidate list against the row's
+/// current bar: entries whose lower bound no longer reaches it are dropped,
+/// the rest keep their ascending-j order. The bar only tightens, so a
+/// dropped entry could never pass the final screen either. Returns the new
+/// length.
+inline std::uint32_t compact_candidates(GemmCandidate* list, std::uint32_t n,
+                                        double bar) {
+  std::uint32_t keep = 0;
+  for (std::uint32_t c = 0; c < n; ++c) {
+    if (list[c].lower <= bar) {
+      list[keep++] = list[c];
+    }
+  }
+  return keep;
+}
+
 /// GEMM-selected, exactly-rescored tile sweep: same contract as
 /// score_tile_gen (centroids [j_begin, j_end) against `count` samples,
 /// records combined into caller-cleared `scores`), byte-identical output.
+/// Returns the number of rows that overflowed the candidate list and took
+/// the exact full-slice fallback.
 ///
 /// Pass 1 (selector): per sample, stream the u-major dot panels and form
 /// g_j = ||x||^2 + ||c_j||^2 - 2 x.c_j with error radius tau_j. A running
-/// top-two of the uppers (g + tau) gives U2; any j with g_j - tau_j <= U2
-/// is appended to the row's candidate list (ascending j by construction).
-/// The running U2 only tightens, so the list is a superset of every j
-/// whose exact distance can reach the final top-two.
+/// top-two of the uppers (g + tau) gives U2; any j with lower bound
+/// g_j - tau_j <= U2 is appended, with that bound, to the row's candidate
+/// list (ascending j by construction). A full list is first compacted
+/// against the current U2 (compact_candidates). U2 only tightens, so the
+/// list stays a superset of every j whose exact distance can reach the
+/// final top-two; it overflows only when more than kGemmCandidates
+/// centroids are genuinely tied within tau.
 ///
-/// Pass 2 (exact rescore): each row's candidates are offered to its record
-/// via squared_distance in ascending j — the serial operation sequence and
-/// tie-break. Omitted centroids satisfy d_j > U2_final >= (exact second
-/// smallest), so they cannot change value, index or second; the record is
-/// therefore byte-identical to a full serial scan, independently of which
-/// dot kernel the dispatcher picked. Candidate overflow (more than
-/// kGemmCandidates) falls back to an exact sweep of the whole slice for
-/// that row.
+/// Pass 2 (exact rescore): each row's candidates still within the final U2
+/// are offered to its record via squared_distance in ascending j — the
+/// serial operation sequence and tie-break. Omitted centroids satisfy
+/// d_j > U2_final >= (exact second smallest), so they cannot change value,
+/// index or second; the record is therefore byte-identical to a full
+/// serial scan, independently of which dot kernel the dispatcher picked.
+/// An overflowed row falls back to an exact sweep of the whole slice.
 template <typename MinLocT, typename SampleIndexFn>
-inline void score_tile_gemm_gen(const data::Dataset& dataset,
-                                SampleIndexFn sample_index, std::size_t count,
-                                const util::Matrix& centroids,
-                                std::span<const double> norms,
-                                std::size_t j_begin, std::size_t j_end,
-                                std::span<MinLocT> scores,
-                                GemmSdcHooks* sdc = nullptr) {
+inline std::size_t score_tile_gemm_gen(const data::Dataset& dataset,
+                                       SampleIndexFn sample_index,
+                                       std::size_t count,
+                                       const util::Matrix& centroids,
+                                       std::span<const double> norms,
+                                       std::size_t j_begin, std::size_t j_end,
+                                       std::span<MinLocT> scores,
+                                       GemmSdcHooks* sdc = nullptr) {
   const std::size_t d = centroids.cols();
   const double tau_scale = gemm_tau_scale(d);
+  constexpr std::uint32_t kOverflow = kGemmCandidates + 1;
   std::vector<double> panel(kCentroidRowBlock * d);
   std::vector<double> nx(count);
   std::vector<double> u1(count, std::numeric_limits<double>::max());
   std::vector<double> u2(count, std::numeric_limits<double>::max());
-  std::vector<std::uint32_t> cand(count * kGemmCandidates);
-  std::vector<std::uint32_t> cand_n(count, 0);
+  std::vector<GemmCandidate> cand(count * kGemmCandidates);
+  std::vector<std::uint32_t> cand_n(count, 0);  // kOverflow = overflowed
   // ABFT checksum column of the current panel and its absolute-value twin
   // (the error-bound magnitude). Captured from the clean panel before the
   // flip hook can damage it.
@@ -543,6 +573,8 @@ inline void score_tile_gemm_gen(const data::Dataset& dataset,
           ++sdc->recomputed;
         }
       }
+      std::uint32_t& n = cand_n[t];
+      GemmCandidate* const list = cand.data() + t * kGemmCandidates;
       for (std::size_t jj = 0; jj < bw; ++jj) {
         const std::size_t j = jb + jj;
         const double scale = nx[t] + norms[j];
@@ -558,54 +590,70 @@ inline void score_tile_gemm_gen(const data::Dataset& dataset,
         // A MinLoc record only needs the exact winner, so U1 suffices; the
         // top-two records screen against U2.
         const double bar = HasSecond<MinLocT> ? u2[t] : u1[t];
-        if (g - tau <= bar) {
-          if (cand_n[t] < kGemmCandidates) {
-            cand[t * kGemmCandidates + cand_n[t]] =
-                static_cast<std::uint32_t>(j);
+        const double lower = g - tau;
+        if (lower <= bar) {
+          if (n == kGemmCandidates) {
+            n = compact_candidates(list, n, bar);
           }
-          ++cand_n[t];  // past capacity: counts on as the overflow marker
+          if (n < kGemmCandidates) {
+            list[n++] = {lower, static_cast<std::uint32_t>(j)};
+          } else {
+            n = kOverflow;  // sticky: this row takes the exact fallback
+          }
         }
       }
     }
   }
+  std::size_t fallback_rows = 0;
   for (std::size_t t = 0; t < count; ++t) {
     MinLocT& rec = scores[t];
     const auto x = dataset.sample(sample_index(t));
-    if (cand_n[t] > kGemmCandidates) {
+    const std::uint32_t n = cand_n[t];
+    if (n == kOverflow) {
+      ++fallback_rows;
       for (std::size_t j = j_begin; j < j_end; ++j) {
         offer_score(rec, squared_distance(x, centroids.row(j)), j);
       }
       continue;
     }
-    for (std::size_t c = 0; c < cand_n[t]; ++c) {
-      const std::size_t j = cand[t * kGemmCandidates + c];
-      offer_score(rec, squared_distance(x, centroids.row(j)), j);
+    const double bar = HasSecond<MinLocT> ? u2[t] : u1[t];
+    const GemmCandidate* const list = cand.data() + t * kGemmCandidates;
+    for (std::uint32_t c = 0; c < n; ++c) {
+      if (list[c].lower <= bar) {
+        const std::size_t j = list[c].index;
+        offer_score(rec, squared_distance(x, centroids.row(j)), j);
+      }
     }
   }
+  return fallback_rows;
 }
 
-/// Contiguous-range GEMM entry point (mirrors score_tile).
+/// Contiguous-range GEMM entry point (mirrors score_tile); returns the
+/// fallback row count.
 template <typename MinLocT>
-inline void score_tile_gemm(const data::Dataset& dataset, std::size_t i_begin,
-                            std::size_t i_end, const util::Matrix& centroids,
-                            std::span<const double> norms, std::size_t j_begin,
-                            std::size_t j_end, std::span<MinLocT> scores,
-                            GemmSdcHooks* sdc = nullptr) {
-  score_tile_gemm_gen(
+inline std::size_t score_tile_gemm(const data::Dataset& dataset,
+                                   std::size_t i_begin, std::size_t i_end,
+                                   const util::Matrix& centroids,
+                                   std::span<const double> norms,
+                                   std::size_t j_begin, std::size_t j_end,
+                                   std::span<MinLocT> scores,
+                                   GemmSdcHooks* sdc = nullptr) {
+  return score_tile_gemm_gen(
       dataset, [i_begin](std::size_t t) { return i_begin + t; },
       i_end - i_begin, centroids, norms, j_begin, j_end, scores, sdc);
 }
 
-/// Compacted GEMM entry point (mirrors score_tile_ids).
+/// Compacted GEMM entry point (mirrors score_tile_ids); returns the
+/// fallback row count.
 template <typename MinLocT>
-inline void score_tile_ids_gemm(const data::Dataset& dataset,
-                                std::span<const std::uint32_t> ids,
-                                const util::Matrix& centroids,
-                                std::span<const double> norms,
-                                std::size_t j_begin, std::size_t j_end,
-                                std::span<MinLocT> scores,
-                                GemmSdcHooks* sdc = nullptr) {
-  score_tile_gemm_gen(
+inline std::size_t score_tile_ids_gemm(const data::Dataset& dataset,
+                                       std::span<const std::uint32_t> ids,
+                                       const util::Matrix& centroids,
+                                       std::span<const double> norms,
+                                       std::size_t j_begin, std::size_t j_end,
+                                       std::span<MinLocT> scores,
+                                       GemmSdcHooks* sdc = nullptr) {
+  return score_tile_gemm_gen(
       dataset,
       [ids](std::size_t t) { return static_cast<std::size_t>(ids[t]); },
       ids.size(), centroids, norms, j_begin, j_end, scores, sdc);
@@ -653,16 +701,33 @@ inline double drift_excluding(const DriftDigest& digest, std::size_t j) {
 inline void compute_safe_radii(const util::Matrix& centroids,
                                std::vector<double>& safe) {
   const std::size_t k = centroids.rows();
+  const std::size_t d = centroids.cols();
   safe.assign(k, std::numeric_limits<double>::max());
   // Each pair once — (a[u]-b[u])^2 == (b[u]-a[u])^2 exactly in IEEE, so
   // the symmetric reuse is bit-identical to two directed scans and matches
-  // the engines' k(k-1)/2-row charge.
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = a + 1; b < k; ++b) {
-      const double half =
-          std::sqrt(squared_distance(centroids.row(a), centroids.row(b))) / 2;
-      safe[a] = std::min(safe[a], half);
-      safe[b] = std::min(safe[b], half);
+  // the engines' k(k-1)/2-row charge. Rows b > a come kCentroidRowBlock at
+  // a time as a u-major panel (unused lanes zero) that every row a before
+  // the block's last row streams past through sample_block_chains; each
+  // lane is the exact operation sequence of squared_distance(row a, row b),
+  // and min is exact and order-free, so the radii match the pairwise scan
+  // bit for bit.
+  std::vector<double> panel(kCentroidRowBlock * d, 0.0);
+  for (std::size_t jb = 0; jb < k; jb += kCentroidRowBlock) {
+    const std::size_t bw = std::min(k - jb, kCentroidRowBlock);
+    for (std::size_t u = 0; u < d; ++u) {
+      for (std::size_t jj = 0; jj < kCentroidRowBlock; ++jj) {
+        panel[u * kCentroidRowBlock + jj] =
+            jj < bw ? static_cast<double>(centroids.at(jb + jj, u)) : 0.0;
+      }
+    }
+    for (std::size_t a = 0; a + 1 < jb + bw; ++a) {
+      double acc[kCentroidRowBlock] = {};
+      sample_block_chains(centroids.row(a).data(), panel.data(), d, acc);
+      for (std::size_t jj = a < jb ? 0 : a - jb + 1; jj < bw; ++jj) {
+        const double half = std::sqrt(acc[jj]) / 2;
+        safe[a] = std::min(safe[a], half);
+        safe[jb + jj] = std::min(safe[jb + jj], half);
+      }
     }
   }
 }

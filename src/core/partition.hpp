@@ -106,9 +106,13 @@ std::vector<std::size_t> candidate_mprime_groups(
     const simarch::MachineConfig& machine);
 
 /// Per-sample LDM scratch of the GEMM-formulated sweep, on top of the
-/// argmin records: the tau-bounded candidate buffer (kGemmCandidates x 4-byte
-/// ids), the cached ||x||^2 and the running top-two uppers (3 doubles), and
-/// the candidate count.
+/// argmin records, as the modeled Sunway layout charges it: the tau-bounded
+/// candidate buffer (kGemmCandidates x 4-byte ids), the cached ||x||^2 and
+/// the running top-two uppers (3 doubles), and the candidate count. The
+/// host selector also stores each candidate's 8-byte lower bound beside its
+/// id (GemmCandidate, 16 bytes padded) so a full list can be compacted;
+/// the modeled layout keeps 4-byte ids on purpose so modeled numbers stay
+/// pinned, and so does not charge that bound.
 inline constexpr std::size_t kGemmSampleScratchBytes = 60;
 
 /// Validate a requested assign-phase tile size against the machine: a

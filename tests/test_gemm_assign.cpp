@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/engine_util.hpp"
 #include "core/hkmeans.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace swhkm::core {
 namespace {
@@ -152,6 +155,218 @@ TEST(GemmKernel, CoincidentCentroidsOverflowCandidateListExactly) {
   EXPECT_EQ(recs[0].value, 0.0);
   EXPECT_EQ(recs[0].index, 0u);
   EXPECT_EQ(recs[0].second, 0.0);  // eleven more coincident at distance 0
+  // The pile lies between centroids 12 and 13, so it is in every sample's
+  // top two: no compaction can shrink a twelve-way tie, and every row
+  // takes the fallback.
+  detail::clear_scores(std::span<TileScore2>(recs));
+  EXPECT_EQ(detail::score_tile_gemm(ds, 0, ds.n(), centroids,
+                                    std::span<const double>(norms), 0, k,
+                                    std::span<TileScore2>(recs)),
+            n);
+
+  // The same pile through an engine: kFirstK seeds the twelve coincident
+  // centroids from twelve identical leading samples, and the fallback rows
+  // surface as the engine.gemm.fallback_rows counter — which only
+  // observes, so the run is bit-identical with telemetry off.
+  std::vector<float> engine_xs(12 * d, 0.0f);
+  engine_xs.insert(engine_xs.end(), cs.begin() + 12 * d, cs.end());
+  engine_xs.insert(engine_xs.end(), xs.begin(), xs.end());
+  const data::Dataset engine_ds(
+      "pile-engine",
+      util::Matrix::from_vector(engine_xs.size() / d, d, engine_xs));
+  KmeansConfig config;
+  config.k = k;
+  config.max_iterations = 3;
+  config.tolerance = -1;
+  config.gate_assign = false;
+  config.tile_samples = 48;  // leaves room for the GEMM scratch in LDM
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const KmeansResult quiet = run_level(Level::kLevel1, engine_ds, config,
+                                       machine);
+  telemetry::Telemetry session;
+  config.telemetry = &session;
+  const KmeansResult traced = run_level(Level::kLevel1, engine_ds, config,
+                                        machine);
+  EXPECT_EQ(traced.assignments, quiet.assignments);
+  EXPECT_EQ(std::memcmp(traced.centroids.data(), quiet.centroids.data(),
+                        quiet.centroids.size() * sizeof(float)),
+            0);
+  EXPECT_GE(session.metrics().merged().counter_or_zero(
+                "engine.gemm.fallback_rows"),
+            config.max_iterations * 12);
+}
+
+/// Score one slice with both kernels and both record widths, expecting
+/// byte-identical records and no overflowed row from the GEMM kernel.
+void check_fallback_free(const data::Dataset& ds,
+                         const util::Matrix& centroids, std::size_t j_begin,
+                         std::size_t j_end, const std::string& label) {
+  const std::vector<double> norms = norms_of(centroids);
+  const auto run = [&]<typename Rec>(Rec) {
+    std::vector<Rec> ref(ds.n());
+    std::vector<Rec> got(ds.n());
+    detail::clear_scores(std::span<Rec>(ref));
+    detail::clear_scores(std::span<Rec>(got));
+    detail::score_tile(ds, 0, ds.n(), centroids, j_begin, j_end,
+                       std::span<Rec>(ref));
+    EXPECT_EQ(detail::score_tile_gemm(ds, 0, ds.n(), centroids,
+                                      std::span<const double>(norms), j_begin,
+                                      j_end, std::span<Rec>(got)),
+              0u)
+        << label;
+    for (std::size_t t = 0; t < ds.n(); ++t) {
+      EXPECT_EQ(std::memcmp(&got[t], &ref[t], sizeof(Rec)), 0)
+          << label << " sample " << t;
+    }
+  };
+  run(TileScore{});
+  run(TileScore2{});
+}
+
+TEST(GemmKernel, RandomOrderUniformTileNeverFallsBack) {
+  // The l3 shape: a 256-sample tile against k = 512 centroids at d = 256,
+  // all uniform in random order. The running bar admits ~2 H_k (about 14)
+  // candidates per row over the slice; compaction against the current bar
+  // must keep every row within kGemmCandidates.
+  const std::size_t k = 512;
+  const std::size_t d = 256;
+  const data::Dataset pool = data::make_uniform(k + 256, d, 3);
+  util::Matrix centroids(k, d);
+  std::vector<float> xs;
+  for (std::size_t i = 0; i < pool.n(); ++i) {
+    const auto row = pool.sample(i);
+    if (i < k) {
+      std::copy(row.begin(), row.end(), centroids.row(i).begin());
+    } else {
+      xs.insert(xs.end(), row.begin(), row.end());
+    }
+  }
+  const data::Dataset ds("tile", util::Matrix::from_vector(256, d, xs));
+  check_fallback_free(ds, centroids, 0, k, "uniform full");
+  check_fallback_free(ds, centroids, 128, 256, "uniform slice");
+}
+
+TEST(GemmKernel, DescendingCentroidOrderCompactsRepeatedly) {
+  // Adversarial order: every sample sits near the origin and centroid j
+  // lies at distance ~(k - j), so each new j beats the running best and is
+  // admitted. Without compaction every row would overflow after eight
+  // centroids; with it each full list sheds all but the newest entries and
+  // no row falls back. Duplicated rows (each distance appears twice) keep
+  // exact ties in the mix, which must still break toward the smaller j.
+  for (const std::size_t d : {1u, 33u}) {
+    const std::size_t k = 80;
+    std::vector<float> cs(k * d);
+    for (std::size_t j = 0; j < k; ++j) {
+      const float r = 4.0f + static_cast<float>((k - j) / 2);
+      for (std::size_t u = 0; u < d; ++u) {
+        cs[j * d + u] = u % 2 == 0 ? r : -r;
+      }
+    }
+    const util::Matrix centroids = util::Matrix::from_vector(k, d, cs);
+    const std::size_t n = 41;
+    std::vector<float> xs(n * d);
+    std::mt19937 rng(static_cast<unsigned>(d));
+    std::uniform_real_distribution<float> jitter(-0.25f, 0.25f);
+    for (float& v : xs) {
+      v = jitter(rng);
+    }
+    const data::Dataset ds("descending", util::Matrix::from_vector(n, d, xs));
+    const std::string label = "d=" + std::to_string(d);
+    check_fallback_free(ds, centroids, 0, k, label + " full");
+    check_fallback_free(ds, centroids, 3, k - 5, label + " slice");
+    check_kernel<TileScore>(ds, centroids, 3, k - 5, label + " ids");
+    check_kernel<TileScore2>(ds, centroids, 3, k - 5, label + " ids2");
+  }
+}
+
+TEST(GemmKernel, AbftRepairKeepsRecordsExact) {
+  // A damaged first panel (one coordinate pushed far off) must fail the
+  // checksum of the first sample it affects; the in-place repair rebuilds
+  // the panel, so exactly one detection fires and every record — selector
+  // state and compacted candidate lists included — matches score_tile.
+  const data::Dataset ds = data::make_uniform(40, 33, 11);
+  const util::Matrix centroids = data::make_uniform(64, 33, 12).samples();
+  const std::vector<double> norms = norms_of(centroids);
+  const auto run = [&](auto rec) {
+    using Rec = decltype(rec);
+    detail::GemmSdcHooks hooks;
+    hooks.check = true;
+    bool fired = false;
+    hooks.flip = [&fired](std::span<std::byte> panel) {
+      if (fired) {
+        return;
+      }
+      fired = true;
+      double v = 0;
+      std::memcpy(&v, panel.data(), sizeof v);
+      v += 1000.0;
+      std::memcpy(panel.data(), &v, sizeof v);
+    };
+    std::vector<Rec> ref(ds.n());
+    std::vector<Rec> got(ds.n());
+    detail::clear_scores(std::span<Rec>(ref));
+    detail::clear_scores(std::span<Rec>(got));
+    detail::score_tile(ds, 0, ds.n(), centroids, 0, centroids.rows(),
+                       std::span<Rec>(ref));
+    EXPECT_EQ(detail::score_tile_gemm(ds, 0, ds.n(), centroids,
+                                      std::span<const double>(norms), 0,
+                                      centroids.rows(), std::span<Rec>(got),
+                                      &hooks),
+              0u);
+    EXPECT_EQ(hooks.detected, 1u);
+    EXPECT_EQ(hooks.recomputed, 1u);
+    expect_records_equal(std::span<const Rec>(got), std::span<const Rec>(ref),
+                         "abft repair");
+  };
+  run(TileScore{});
+  run(TileScore2{});
+}
+
+TEST(SafeRadii, BlockedMatchesPairwiseReference) {
+  // compute_safe_radii streams centroid rows past 16-row panels; it must
+  // reproduce the pairwise squared_distance scan bit for bit across block
+  // boundaries (k around 16 and past 512), odd d, and coincident rows,
+  // whose radius is exactly 0.
+  std::mt19937 rng(0x5AFE);
+  std::uniform_real_distribution<float> unit(-2.0f, 2.0f);
+  for (const std::size_t k : {1u, 2u, 15u, 16u, 17u, 513u}) {
+    for (const std::size_t d : {1u, 7u, 33u}) {
+      std::vector<float> cs(k * d);
+      for (float& v : cs) {
+        v = unit(rng);
+      }
+      if (k >= 15) {
+        // Rows 3 and 12 coincide (same panel block), rows 1 and k-1 too
+        // (across blocks once k > 16).
+        std::copy_n(cs.begin() + 3 * d, d, cs.begin() + 12 * d);
+        std::copy_n(cs.begin() + 1 * d, d, cs.begin() + (k - 1) * d);
+      }
+      const util::Matrix centroids = util::Matrix::from_vector(k, d, cs);
+      std::vector<double> ref(k, std::numeric_limits<double>::max());
+      for (std::size_t a = 0; a < k; ++a) {
+        for (std::size_t b = a + 1; b < k; ++b) {
+          const double half = std::sqrt(detail::squared_distance(
+                                  centroids.row(a), centroids.row(b))) /
+                              2;
+          ref[a] = std::min(ref[a], half);
+          ref[b] = std::min(ref[b], half);
+        }
+      }
+      std::vector<double> got;
+      detail::compute_safe_radii(centroids, got);
+      const std::string label =
+          "k=" + std::to_string(k) + " d=" + std::to_string(d);
+      ASSERT_EQ(got.size(), k) << label;
+      EXPECT_EQ(std::memcmp(got.data(), ref.data(), k * sizeof(double)), 0)
+          << label;
+      if (k >= 15) {
+        EXPECT_EQ(got[3], 0.0) << label;
+        EXPECT_EQ(got[12], 0.0) << label;
+        EXPECT_EQ(got[1], 0.0) << label;
+        EXPECT_EQ(got[k - 1], 0.0) << label;
+      }
+    }
+  }
 }
 
 TEST(GemmKernel, NormCacheRefreshTracksDriftExactly) {
