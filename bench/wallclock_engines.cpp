@@ -1,51 +1,32 @@
-/// Wall-clock (NOT simulated) microbenchmark of the batched assign phase.
+/// CI gate cells for the engines, all on deterministic quantities: bit
+/// identity against serial Lloyd and the cost model's modeled numbers.
+/// Host wall-clock timing lives in perfbench, which repeats every
+/// measurement and reports it with a noise band; this binary reads no
+/// host clock into a gate.
 ///
-/// The paper's nkd partition keeps communication off the per-sample
-/// critical path of the *simulated* machine; this bench tracks whether the
-/// host implementation honours the same principle. It runs the Level 3
-/// assign phase of an (n=8192, k=256, d=128) workload on a 4-CG group two
-/// ways over the real swmpi runtime:
+/// `--smoke` (also the default with no flag) runs six cells:
 ///
-///   per-sample — one allreduce_minloc of a single MinLoc per sample, the
-///                pre-batching engine structure (kept here as the
-///                reference implementation so the win stays measurable);
-///   batched    — the shipped structure: score a 256-sample tile into a
-///                MinLoc buffer, then one vector-shaped allreduce_minloc
-///                per tile.
+///   bound gate     — the shipped Level 3 engine on one 4-CG group, run to
+///                    convergence with the Hamerly gate on and off, plus
+///                    serial Lloyd from the same centroids. All three must
+///                    agree bit for bit; each iteration's modeled prune
+///                    rate and collective bytes come from result.history.
+///   telemetry      — the same Level 3 run with the telemetry session off,
+///                    on, and on without the flight recorder: results must
+///                    be bit-identical, the report's metrics must reconcile
+///                    with the iteration history, and the critical-path
+///                    phase attributions must sum to the modeled times.
+///                    Exports trace.json and report.json.
+///   tile pipeline  — sequential vs double-buffered tiles: the modeled
+///                    combine stall share must drop at least 2x.
+///   gemm + s-step  — modeled FLOP-rate gain of the GEMM sweep and the
+///                    collective-round cut of the s-step fold.
+///   hierarchical   — modeled supernode-crossing cut of the two-level
+///                    collective schedule, plus an engine A/B.
+///   sdc            — the `--sdc` drill matrix, embedded.
 ///
-/// Both produce bit-identical winners (verified); only the number of
-/// thread-level barriers differs.
-///
-/// It also times the centroid-update phase of the same workload two ways:
-///
-///   root-serialized — the pre-sharding structure: two flat reduces of the
-///                     full k x d sums and counts to rank 0, rank 0 applies
-///                     the whole update alone, scalar bcast of the shift;
-///   sharded         — the shipped reduce_and_update: one fused
-///                     reduce_scatter, every rank applying its own shard of
-///                     rows in parallel, allgather + stats allreduce.
-///
-/// Both variants pay one accumulator-sized copy per round (the old path's
-/// reduce scratch vs the new path's payload packing) and produce
-/// bit-identical centroids (verified). Results go to BENCH_wallclock.json
-/// in the working directory so subsequent PRs can track the trajectory.
-///
-/// Third experiment — the bound gate. A full Lloyd run to convergence on
-/// the same (n=8192, k=256, d=128, 4-CG) cell, assign phase two ways:
-///
-///   ungated — every sample sweeps its k-slice every iteration, one
-///             16-byte-record MinLoc collective per tile (the pre-gate
-///             engine structure);
-///   gated   — Hamerly bounds gate every sample before it enters a tile;
-///             survivors sweep and ride a *compacted* 24-byte MinLoc2
-///             collective (runner-up distance keeps the lower bound exact
-///             under the nk slice), fully-pruned tiles skip the collective
-///             outright.
-///
-/// Per-iteration assign wall-clock, prune rate and collective payload go
-/// to the JSON + wallclock_gated_assign.csv; the run asserts both variants
-/// and serial Lloyd converge to bit-identical centroids. `--smoke` runs
-/// only this experiment on a tiny cell (CI-sized, a few hundred ms).
+/// Results go to BENCH_wallclock.json and bench_results/ in the working
+/// directory.
 ///
 /// `--faults` is a separate CI-sized cell for the fault story: each engine
 /// level runs once clean and once under the RecoveryDriver with a
@@ -66,21 +47,20 @@
 /// (centroid_max_abs_diff == 0.0), and the defense's modeled overhead stays
 /// bounded. Results go to BENCH_sdc.json; `--smoke` embeds the same cell in
 /// BENCH_wallclock.json.
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/engine_common.hpp"
-#include "core/engine_util.hpp"
 #include "core/lloyd.hpp"
 #include "core/metrics.hpp"
 #include "core/planner.hpp"
+#include "simarch/topology.hpp"
 #include "swmpi/collectives.hpp"
 #include "swmpi/fault.hpp"
 #include "swmpi/runtime.hpp"
@@ -92,313 +72,31 @@
 namespace swhkm {
 namespace {
 
-constexpr std::size_t kN = 8192;
-constexpr std::size_t kK = 256;
-constexpr std::size_t kD = 128;
 constexpr std::size_t kGroupCgs = 4;  // one Level 3 flow unit of 4 CGs
 
-struct AssignTiming {
-  double seconds = 0;
-  std::vector<std::uint32_t> winners;
+/// Bound-gate cell: the shipped Level 3 engine on a 4-CG machine forced to
+/// one CG group (every rank owns a k-slice and each span's winners resolve
+/// through the group combine), to convergence with the gate on and off.
+/// Gated spans sweep only the survivors of the Hamerly bounds and a fully
+/// pruned span skips its combine, which the per-iteration modeled
+/// collective bytes show.
+struct GateCell {
+  std::size_t n = 0;
+  std::size_t k = 0;
+  std::size_t d = 0;
+  core::KmeansResult gated;
+  core::KmeansResult ungated;
+  bool identical = false;  ///< gated, ungated and serial Lloyd bit-identical
 };
 
-/// One assign phase over `group_cgs` ranks, per-sample collectives.
-AssignTiming assign_per_sample(const data::Dataset& ds,
-                               const util::Matrix& centroids,
-                               std::size_t k_local) {
-  AssignTiming out;
-  out.winners.assign(ds.n(), 0);
-  util::Stopwatch clock;
-  swmpi::run_spmd(static_cast<int>(kGroupCgs), [&](swmpi::Comm& comm) {
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    const std::size_t j_begin = std::min(rank * k_local, kK);
-    const std::size_t j_end = std::min(kK, j_begin + k_local);
-    for (std::size_t i = 0; i < ds.n(); ++i) {
-      swmpi::MinLoc mine{std::numeric_limits<double>::max(),
-                         std::numeric_limits<std::uint64_t>::max()};
-      if (j_begin < j_end) {
-        const auto [dist, j] = core::detail::nearest_in_slice(
-            ds.sample(i), centroids, j_begin, j_end);
-        mine = {dist, j};
-      }
-      swmpi::allreduce_minloc(comm, std::span<swmpi::MinLoc>(&mine, 1));
-      if (rank == 0) {
-        out.winners[i] = static_cast<std::uint32_t>(mine.index);
-      }
-    }
-  });
-  out.seconds = clock.seconds();
-  return out;
-}
-
-/// Same phase, one batched collective per kAssignTileSamples-sample tile.
-AssignTiming assign_batched(const data::Dataset& ds,
-                            const util::Matrix& centroids,
-                            std::size_t k_local) {
-  AssignTiming out;
-  out.winners.assign(ds.n(), 0);
-  util::Stopwatch clock;
-  swmpi::run_spmd(static_cast<int>(kGroupCgs), [&](swmpi::Comm& comm) {
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    const std::size_t j_begin = std::min(rank * k_local, kK);
-    const std::size_t j_end = std::min(kK, j_begin + k_local);
-    std::vector<swmpi::MinLoc> tile(core::detail::kAssignTileSamples);
-    for (std::size_t t0 = 0; t0 < ds.n();
-         t0 += core::detail::kAssignTileSamples) {
-      const std::size_t t1 =
-          std::min(ds.n(), t0 + core::detail::kAssignTileSamples);
-      const std::span<swmpi::MinLoc> scores(tile.data(), t1 - t0);
-      core::detail::clear_scores(scores);
-      if (j_begin < j_end) {
-        core::detail::score_tile(ds, t0, t1, centroids, j_begin, j_end,
-                                 scores);
-      }
-      swmpi::allreduce_minloc(comm, scores);
-      if (rank == 0) {
-        for (std::size_t i = t0; i < t1; ++i) {
-          out.winners[i] = static_cast<std::uint32_t>(scores[i - t0].index);
-        }
-      }
-    }
-  });
-  out.seconds = clock.seconds();
-  return out;
-}
-
-/// Per-rank update-phase inputs: each of the 4 CGs accumulates its block of
-/// samples under the (deterministic) full-scan winners. Built once; the
-/// timed variants only read them.
-std::vector<core::detail::UpdateAccumulator> build_accumulators(
-    const data::Dataset& ds, const util::Matrix& centroids) {
-  std::vector<core::detail::UpdateAccumulator> accs(
-      kGroupCgs, core::detail::UpdateAccumulator(kK, kD));
-  for (std::size_t r = 0; r < kGroupCgs; ++r) {
-    const auto [begin, end] =
-        core::detail::block_range(ds.n(), kGroupCgs, r);
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto [dist, j] =
-          core::detail::nearest_in_slice(ds.sample(i), centroids, 0, kK);
-      (void)dist;
-      accs[r].add_sample(j, ds.sample(i));
-    }
-  }
-  return accs;
-}
-
-/// `reps` rounds of the pre-sharding update: two flat reduces to rank 0,
-/// root-only apply, scalar bcast. Applying the same accumulator is
-/// idempotent (rows land on sums/counts means every round), so the work per
-/// round is identical while centroids stay comparable across variants.
-double update_root_serialized(
-    const std::vector<core::detail::UpdateAccumulator>& accs,
-    util::Matrix& centroids, int reps) {
-  util::Stopwatch clock;
-  swmpi::run_spmd(static_cast<int>(kGroupCgs), [&](swmpi::Comm& comm) {
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    std::vector<double> sums;
-    std::vector<double> counts;
-    for (int rep = 0; rep < reps; ++rep) {
-      sums = accs[rank].sums;  // the reduce destroys its input partials
-      counts = accs[rank].counts;
-      swmpi::reduce(comm, 0, std::span<double>(sums.data(), sums.size()),
-                    swmpi::ops::Plus{});
-      swmpi::reduce(comm, 0,
-                    std::span<double>(counts.data(), counts.size()),
-                    swmpi::ops::Plus{});
-      double shift = 0;
-      if (comm.rank() == 0) {
-        shift = core::detail::apply_update(centroids, sums, counts).shift;
-      }
-      swmpi::bcast(comm, 0, std::span<double>(&shift, 1));
-    }
-  });
-  return clock.seconds();
-}
-
-/// `reps` rounds of the shipped sharded update. reduce_and_update only
-/// reads the accumulator (the shared-partials fold is zero-copy), so no
-/// per-round scratch copy exists to pay — the root path's defensive copy
-/// above is inherent to its destructive reduce, and its absence here is
-/// part of the measured win.
-double update_sharded(
-    const std::vector<core::detail::UpdateAccumulator>& accs,
-    util::Matrix& centroids, int reps) {
-  util::Stopwatch clock;
-  swmpi::run_spmd(static_cast<int>(kGroupCgs), [&](swmpi::Comm& comm) {
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    for (int rep = 0; rep < reps; ++rep) {
-      (void)core::detail::reduce_and_update(comm, centroids, accs[rank]);
-    }
-  });
-  return clock.seconds();
-}
-
-/// One converging Lloyd run over the 4-rank swmpi runtime with the Level 3
-/// nk slicing (each rank owns a contiguous k-slice, winners resolved by a
-/// per-tile collective), assign phase gated or not.
-struct ConvergeTrace {
-  std::vector<double> assign_s;            ///< per-iteration assign wall
-  std::vector<double> prune_rate;          ///< gated fraction per iteration
-  std::vector<std::uint64_t> collective_bytes;  ///< minloc payload crossing
-  std::vector<std::uint32_t> assignments;
-  util::Matrix centroids;
-  std::size_t iterations = 0;
-};
-
-ConvergeTrace run_converging_assign(const data::Dataset& ds,
-                                    const util::Matrix& init, std::size_t k,
-                                    std::size_t group_cgs, bool gate,
-                                    std::size_t max_iters, double tolerance) {
-  ConvergeTrace out;
-  out.centroids = init;
-  const std::size_t n = ds.n();
-  const std::size_t k_local = (k + group_cgs - 1) / group_cgs;
-  constexpr std::size_t kTile = core::detail::kAssignTileSamples;
-  std::vector<std::uint32_t> winners(n, 0);
-  swmpi::run_spmd(static_cast<int>(group_cgs), [&](swmpi::Comm& comm) {
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    const std::size_t j_begin = std::min(rank * k_local, k);
-    const std::size_t j_end = std::min(k, j_begin + k_local);
-    std::vector<std::uint32_t> local_assign(n, 0);
-    std::vector<double> upper;
-    std::vector<double> lower;
-    std::vector<double> drift;
-    std::vector<double> safe;
-    std::vector<std::uint32_t> ids;
-    if (gate) {
-      upper.assign(n, 0.0);
-      lower.assign(n, 0.0);
-      drift.assign(k, 0.0);
-      ids.reserve(kTile);
-    }
-    std::vector<swmpi::MinLoc> tile1(kTile);
-    std::vector<swmpi::MinLoc2> tile2(kTile);
-    core::detail::UpdateAccumulator acc(k, ds.d());
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      // Sync so rank 0's stopwatch brackets only the assign phase.
-      double sync = 0;
-      swmpi::allreduce_sum(comm, std::span<double>(&sync, 1));
-      util::Stopwatch clock;
-      const bool gating = gate && iter > 0;
-      core::detail::DriftDigest digest;
-      if (gating) {
-        digest = core::detail::drift_digest(drift);
-        core::detail::compute_safe_radii(out.centroids, safe);
-      }
-      std::uint64_t unresolved = 0;
-      for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
-        const std::size_t t1 = std::min(n, t0 + kTile);
-        if (!gate) {
-          const std::span<swmpi::MinLoc> scores(tile1.data(), t1 - t0);
-          core::detail::clear_scores(scores);
-          if (j_begin < j_end) {
-            core::detail::score_tile(ds, t0, t1, out.centroids, j_begin,
-                                     j_end, scores);
-          }
-          swmpi::allreduce_minloc(comm, scores);
-          for (std::size_t i = t0; i < t1; ++i) {
-            local_assign[i] =
-                static_cast<std::uint32_t>(scores[i - t0].index);
-          }
-          unresolved += t1 - t0;
-          continue;
-        }
-        if (!gating) {
-          // Iteration 0 with the gate on: full sweep, MinLoc2 so the
-          // runner-up distance seeds the lower bound.
-          const std::span<swmpi::MinLoc2> scores(tile2.data(), t1 - t0);
-          core::detail::clear_scores(scores);
-          if (j_begin < j_end) {
-            core::detail::score_tile(ds, t0, t1, out.centroids, j_begin,
-                                     j_end, scores);
-          }
-          swmpi::allreduce_minloc2(comm, scores);
-          for (std::size_t i = t0; i < t1; ++i) {
-            const swmpi::MinLoc2& rec = scores[i - t0];
-            local_assign[i] = static_cast<std::uint32_t>(rec.index);
-            core::detail::refresh_bounds(rec, upper[i], lower[i]);
-          }
-          unresolved += t1 - t0;
-          continue;
-        }
-        // Gate inputs are globally replicated, so every rank builds the
-        // identical compaction and a fully-pruned tile skips its
-        // collective on all ranks at once (Level 3 structure: no tighten —
-        // see gate_tile).
-        ids.clear();
-        core::detail::gate_tile(ds, out.centroids, t0, t1, local_assign,
-                                drift, digest, safe, upper, lower,
-                                /*tighten=*/false, ids);
-        if (!ids.empty()) {
-          const std::span<swmpi::MinLoc2> scores(tile2.data(), ids.size());
-          core::detail::clear_scores(scores);
-          if (j_begin < j_end) {
-            core::detail::score_tile_ids(
-                ds, std::span<const std::uint32_t>(ids.data(), ids.size()),
-                out.centroids, j_begin, j_end, scores);
-          }
-          swmpi::allreduce_minloc2(comm, scores);
-          for (std::size_t t = 0; t < ids.size(); ++t) {
-            const std::size_t i = ids[t];
-            const swmpi::MinLoc2& rec = scores[t];
-            local_assign[i] = static_cast<std::uint32_t>(rec.index);
-            core::detail::refresh_bounds(rec, upper[i], lower[i]);
-          }
-        }
-        unresolved += ids.size();
-      }
-      swmpi::allreduce_sum(comm, std::span<double>(&sync, 1));
-      if (rank == 0) {
-        out.assign_s.push_back(clock.seconds());
-        out.prune_rate.push_back(static_cast<double>(n - unresolved) /
-                                 static_cast<double>(n));
-        out.collective_bytes.push_back(
-            unresolved *
-            (gate ? sizeof(swmpi::MinLoc2) : sizeof(swmpi::MinLoc)) *
-            (group_cgs - 1));
-        out.iterations = iter + 1;
-      }
-      acc.reset();
-      const auto [b_begin, b_end] =
-          core::detail::block_range(n, group_cgs, rank);
-      for (std::size_t i = b_begin; i < b_end; ++i) {
-        acc.add_sample(local_assign[i], ds.sample(i));
-      }
-      const core::detail::UpdateOutcome outcome =
-          core::detail::reduce_and_update(
-              comm, out.centroids, acc,
-              gate ? std::span<double>(drift.data(), drift.size())
-                   : std::span<double>{});
-      if (outcome.shift <= tolerance) {
-        break;
-      }
-    }
-    if (rank == 0) {
-      winners = local_assign;
-    }
-  });
-  out.assignments = std::move(winners);
-  return out;
-}
-
-struct GatedSection {
-  ConvergeTrace gated;
-  ConvergeTrace ungated;
-  /// Assign wall ratio over iterations >= kTailStart; NaN (JSON null) when
-  /// the run converged before the tail began.
-  double tail_speedup = 0;
-  bool identical = false;   ///< both variants + serial Lloyd bit-identical
-};
-
-constexpr std::size_t kTailStart = 2;  // "after the first few iterations"
-
-GatedSection run_gated_section(std::size_t n, std::size_t k, std::size_t d,
-                               std::size_t group_cgs,
-                               std::size_t max_iters) {
+GateCell run_gate_cell(std::size_t n, std::size_t k, std::size_t d,
+                       std::size_t max_iters) {
   // Clusterable data (what the gate is for): more true modes than k and a
   // moderate separation keep Lloyd walking for a while before it settles.
   const data::Dataset ds = data::make_blobs(n, d, k + k / 8, 7177,
                                             /*separation=*/4.0);
+  const simarch::MachineConfig machine =
+      simarch::MachineConfig::tiny(2, 8, 16384);  // 4 CGs: one group
   core::KmeansConfig config;
   config.k = k;
   config.max_iterations = max_iters;
@@ -406,74 +104,67 @@ GatedSection run_gated_section(std::size_t n, std::size_t k, std::size_t d,
   config.init = core::InitMethod::kFirstK;
   const util::Matrix init = core::init_centroids(ds, config);
 
-  GatedSection out;
-  (void)run_converging_assign(ds, init, k, group_cgs, true, 2, 0);  // warm-up
-  out.gated =
-      run_converging_assign(ds, init, k, group_cgs, true, max_iters, 0);
-  out.ungated =
-      run_converging_assign(ds, init, k, group_cgs, false, max_iters, 0);
+  GateCell cell;
+  cell.n = n;
+  cell.k = k;
+  cell.d = d;
+  cell.gated = core::run_level(core::Level::kLevel3, ds, config, machine, 0,
+                               kGroupCgs);
+  core::KmeansConfig ungated = config;
+  ungated.gate_assign = false;
+  cell.ungated = core::run_level(core::Level::kLevel3, ds, ungated, machine,
+                                 0, kGroupCgs);
   const core::KmeansResult serial = core::lloyd_serial_from(ds, config, init);
-
-  out.identical =
-      out.gated.iterations == out.ungated.iterations &&
-      out.gated.assignments == out.ungated.assignments &&
-      out.gated.assignments == serial.assignments &&
-      std::memcmp(out.gated.centroids.data(), out.ungated.centroids.data(),
-                  k * d * sizeof(float)) == 0 &&
-      std::memcmp(out.gated.centroids.data(), serial.centroids.data(),
-                  k * d * sizeof(float)) == 0;
-
-  double gated_tail = 0;
-  double ungated_tail = 0;
-  for (std::size_t it = kTailStart; it < out.gated.iterations; ++it) {
-    gated_tail += out.gated.assign_s[it];
-    ungated_tail += out.ungated.assign_s[it];
-  }
-  out.tail_speedup = gated_tail > 0 ? ungated_tail / gated_tail
-                                    : std::numeric_limits<double>::quiet_NaN();
-  return out;
+  const auto same = [&](const core::KmeansResult& r) {
+    return r.iterations == serial.iterations &&
+           r.assignments == serial.assignments &&
+           std::memcmp(r.centroids.data(), serial.centroids.data(),
+                       k * d * sizeof(float)) == 0;
+  };
+  cell.identical = same(cell.gated) && same(cell.ungated);
+  return cell;
 }
 
-void emit_gated(const GatedSection& g, util::JsonWriter& w) {
-  util::Table table({"iter", "ungated_assign_s", "gated_assign_s",
-                     "prune_rate", "ungated_bytes", "gated_bytes"});
-  for (std::size_t it = 0; it < g.gated.iterations; ++it) {
+void emit_gate(const GateCell& g, util::JsonWriter& w) {
+  util::Table table(
+      {"iter", "prune_rate", "ungated_net_bytes", "gated_net_bytes"});
+  const std::size_t iters =
+      std::min(g.gated.history.size(), g.ungated.history.size());
+  for (std::size_t it = 0; it < iters; ++it) {
     table.new_row()
         .add(static_cast<std::uint64_t>(it))
-        .add(g.ungated.assign_s[it], 6)
-        .add(g.gated.assign_s[it], 6)
-        .add(g.gated.prune_rate[it], 4)
-        .add(g.ungated.collective_bytes[it])
-        .add(g.gated.collective_bytes[it]);
+        .add(g.gated.history[it].prune_rate, 4)
+        .add(g.ungated.history[it].net_bytes)
+        .add(g.gated.history[it].net_bytes);
   }
   bench::emit(table, "wallclock_gated_assign");
 
-  const auto dump = [&w](const char* key, const auto& values) {
+  const auto dump = [&w](const char* key, const core::KmeansResult& r,
+                         auto field) {
     w.key(key).begin_array();
-    for (const auto& v : values) {
-      w.value(v);
+    for (const core::IterationStats& s : r.history) {
+      w.value(s.*field);
     }
     w.end_array();
   };
   w.key("gated_assign").begin_object();
+  w.kv("n", static_cast<std::uint64_t>(g.n));
+  w.kv("k", static_cast<std::uint64_t>(g.k));
+  w.kv("d", static_cast<std::uint64_t>(g.d));
+  w.kv("group_cgs", static_cast<std::uint64_t>(kGroupCgs));
   w.kv("iterations", static_cast<std::uint64_t>(g.gated.iterations));
   w.kv("bit_identical_to_serial_lloyd", g.identical);
-  dump("ungated_assign_s", g.ungated.assign_s);
-  dump("gated_assign_s", g.gated.assign_s);
-  dump("prune_rate", g.gated.prune_rate);
-  dump("ungated_collective_bytes", g.ungated.collective_bytes);
-  dump("gated_collective_bytes", g.gated.collective_bytes);
-  w.kv("tail_start_iteration", static_cast<std::uint64_t>(kTailStart));
-  w.kv("assign_tail_speedup", g.tail_speedup);
+  dump("prune_rate", g.gated, &core::IterationStats::prune_rate);
+  dump("ungated_net_bytes", g.ungated, &core::IterationStats::net_bytes);
+  dump("gated_net_bytes", g.gated, &core::IterationStats::net_bytes);
   w.end_object();
-  char tail[32] = "n/a";
-  if (!std::isnan(g.tail_speedup)) {
-    std::snprintf(tail, sizeof tail, "%.2fx", g.tail_speedup);
-  }
-  std::printf("gated assign tail speedup (iters >= %zu): %s, "
-              "final prune rate %.3f, bit-identical: %s\n",
-              kTailStart, tail,
-              g.gated.prune_rate.empty() ? 0.0 : g.gated.prune_rate.back(),
+  std::printf("bound gate: %zu iterations, final prune rate %.3f, modeled "
+              "net bytes %llu -> %llu gated, bit-identical: %s\n",
+              g.gated.iterations,
+              g.gated.history.empty() ? 0.0
+                                      : g.gated.history.back().prune_rate,
+              static_cast<unsigned long long>(g.ungated.cost.net_bytes),
+              static_cast<unsigned long long>(g.gated.cost.net_bytes),
               g.identical ? "yes" : "NO");
 }
 
@@ -1008,14 +699,11 @@ int run_sdc() {
   return check_sdc_cell(cell);
 }
 
-/// A/B telemetry cell: the same Level 3 run with the telemetry session off
-/// and on (metrics + wall spans + simulated trace), best-of-3 wall clock
-/// each way. On the instrumented side the final repetition's session is
-/// exported as the observability artifact pair (trace.json, report.json).
+/// Telemetry cell: the same Level 3 run with the telemetry session off, on
+/// (metrics + wall spans + simulated trace), and on with only the flight
+/// recorder disarmed. The instrumented session is exported as the
+/// observability artifact pair (trace.json, report.json).
 struct TelemetryCell {
-  double plain_s = 0;
-  double instrumented_s = 0;
-  double overhead_frac = 0;
   bool identical = false;   ///< results bit-identical, telemetry on vs off
   bool reconciled = false;  ///< report metrics agree with iteration history
   bool flight_identical = false;  ///< flight recorder on vs off, same session
@@ -1028,8 +716,6 @@ struct TelemetryCell {
 };
 
 TelemetryCell run_telemetry_cell() {
-  // Big enough that compute dominates thread spawn and clock reads — the
-  // overhead fraction means something; still well under a second for CI.
   const data::Dataset ds = data::make_blobs(8192, 64, 40, 515);
   const simarch::MachineConfig machine =
       simarch::MachineConfig::tiny(2, 4, 8192);
@@ -1038,142 +724,101 @@ TelemetryCell run_telemetry_cell() {
   config.max_iterations = 10;
   config.tolerance = -1;
   config.init = core::InitMethod::kFirstK;
-  // Best-of-5 per side: the minimum of a handful of interleaved runs is
-  // the scheduler-noise-free estimate on a shared CI host.
-  constexpr int kReps = 5;
 
   TelemetryCell cell;
-  (void)core::run_level(core::Level::kLevel3, ds, config, machine);  // warm-up
-  core::KmeansResult plain;
-  // Interleave the A and B repetitions so cache/thermal drift over the
-  // measurement hits both sides equally; keep the best of each.
-  for (int rep = 0; rep < kReps; ++rep) {
-    util::Stopwatch plain_clock;
-    core::KmeansResult r =
-        core::run_level(core::Level::kLevel3, ds, config, machine);
-    const double plain_s = plain_clock.seconds();
-    if (rep == 0 || plain_s < cell.plain_s) {
-      cell.plain_s = plain_s;
-    }
-    plain = std::move(r);
+  const core::KmeansResult plain =
+      core::run_level(core::Level::kLevel3, ds, config, machine);
 
-    telemetry::Telemetry session;
-    simarch::Trace trace;
-    core::KmeansConfig instrumented_config = config;
-    instrumented_config.telemetry = &session;
-    instrumented_config.trace = &trace;
-    util::Stopwatch clock;
-    const core::KmeansResult instrumented = core::run_level(
-        core::Level::kLevel3, ds, instrumented_config, machine);
-    const double s = clock.seconds();
-    if (rep == 0 || s < cell.instrumented_s) {
-      cell.instrumented_s = s;
-    }
-    if (rep + 1 < kReps) {
-      continue;
-    }
-    // Last repetition: check identity and export the artifacts.
-    cell.identical =
-        plain.iterations == instrumented.iterations &&
-        plain.assignments == instrumented.assignments &&
-        std::memcmp(plain.centroids.data(), instrumented.centroids.data(),
-                    plain.centroids.size() * sizeof(float)) == 0;
+  telemetry::Telemetry session;
+  simarch::Trace trace;
+  core::KmeansConfig instrumented_config = config;
+  instrumented_config.telemetry = &session;
+  instrumented_config.trace = &trace;
+  const core::KmeansResult instrumented = core::run_level(
+      core::Level::kLevel3, ds, instrumented_config, machine);
+  cell.identical =
+      plain.iterations == instrumented.iterations &&
+      plain.assignments == instrumented.assignments &&
+      std::memcmp(plain.centroids.data(), instrumented.centroids.data(),
+                  plain.centroids.size() * sizeof(float)) == 0;
 
-    // Flight-recorder-specific identity: the plain side above has no
-    // telemetry at all; this run keeps the session but disarms only the
-    // rings, so a recorder-induced divergence can't hide behind the
-    // coarser on/off check.
-    {
-      telemetry::TelemetryConfig no_flight;
-      no_flight.flight = false;
-      telemetry::Telemetry off_session(no_flight);
-      core::KmeansConfig off_config = config;
-      off_config.telemetry = &off_session;
-      const core::KmeansResult off = core::run_level(
-          core::Level::kLevel3, ds, off_config, machine);
-      cell.flight_identical =
-          off.iterations == instrumented.iterations &&
-          off.assignments == instrumented.assignments &&
-          std::memcmp(off.centroids.data(), instrumented.centroids.data(),
-                      off.centroids.size() * sizeof(float)) == 0;
-    }
-
-    // Critical-path attribution over the instrumented run's trace, plus
-    // the acceptance cross-check: each iteration's phase attributions must
-    // sum to both the analyzer's critical_s and the engine-recorded
-    // simulated_s (two independent code paths to the same number).
-    cell.critical_path = telemetry::analyze_critical_path(trace);
-    const auto& cp_iters = cell.critical_path.iterations;
-    for (std::size_t i = 0;
-         i < cp_iters.size() && i < instrumented.history.size(); ++i) {
-      double phase_sum = 0;
-      for (std::size_t p = 0; p < simarch::kPhaseCount; ++p) {
-        phase_sum += cp_iters[i].phase_s[p];
-      }
-      const double vs_history =
-          std::fabs(phase_sum - instrumented.history[i].simulated_s);
-      const double vs_critical = std::fabs(phase_sum - cp_iters[i].critical_s);
-      cell.attribution_max_abs_err = std::max(
-          {cell.attribution_max_abs_err, vs_history, vs_critical});
-    }
-
-    telemetry::RunReport report;
-    report.run_id = "smoke-level3";
-    report.shape = core::ProblemShape{ds.n(), config.k, ds.d()};
-    report.level = core::Level::kLevel3;
-    report.config = config;
-    report.machine_summary = machine.summary();
-    if (const auto choice = core::best_plan_for_level(
-            core::Level::kLevel3, report.shape, machine)) {
-      report.plan_summary = choice->plan.describe();
-    }
-    report.set_result(instrumented);
-    report.metrics = session.metrics().merged();
-    report.has_critical_path = true;
-    report.critical_path = cell.critical_path;
-    cell.reconciled = telemetry::reconciles(report);
-
-    std::ofstream report_out("report.json");
-    report.write_json(report_out);
-    std::ofstream trace_out("trace.json");
-    telemetry::write_chrome_trace(trace_out, &trace, &session.spans(), {},
-                                  &cell.critical_path);
+  // Flight-recorder-specific identity: the plain side above has no
+  // telemetry at all; this run keeps the session but disarms only the
+  // rings, so a recorder-induced divergence can't hide behind the coarser
+  // on/off check.
+  {
+    telemetry::TelemetryConfig no_flight;
+    no_flight.flight = false;
+    telemetry::Telemetry off_session(no_flight);
+    core::KmeansConfig off_config = config;
+    off_config.telemetry = &off_session;
+    const core::KmeansResult off =
+        core::run_level(core::Level::kLevel3, ds, off_config, machine);
+    cell.flight_identical =
+        off.iterations == instrumented.iterations &&
+        off.assignments == instrumented.assignments &&
+        std::memcmp(off.centroids.data(), instrumented.centroids.data(),
+                    off.centroids.size() * sizeof(float)) == 0;
   }
-  cell.overhead_frac =
-      cell.plain_s > 0 ? (cell.instrumented_s - cell.plain_s) / cell.plain_s
-                       : 0;
+
+  // Critical-path attribution over the instrumented run's trace, plus the
+  // acceptance cross-check: each iteration's phase attributions must sum
+  // to both the analyzer's critical_s and the engine-recorded simulated_s
+  // (two independent code paths to the same number).
+  cell.critical_path = telemetry::analyze_critical_path(trace);
+  const auto& cp_iters = cell.critical_path.iterations;
+  for (std::size_t i = 0;
+       i < cp_iters.size() && i < instrumented.history.size(); ++i) {
+    double phase_sum = 0;
+    for (std::size_t p = 0; p < simarch::kPhaseCount; ++p) {
+      phase_sum += cp_iters[i].phase_s[p];
+    }
+    const double vs_history =
+        std::fabs(phase_sum - instrumented.history[i].simulated_s);
+    const double vs_critical = std::fabs(phase_sum - cp_iters[i].critical_s);
+    cell.attribution_max_abs_err =
+        std::max({cell.attribution_max_abs_err, vs_history, vs_critical});
+  }
+
+  telemetry::RunReport report;
+  report.run_id = "smoke-level3";
+  report.shape = core::ProblemShape{ds.n(), config.k, ds.d()};
+  report.level = core::Level::kLevel3;
+  report.config = config;
+  report.machine_summary = machine.summary();
+  if (const auto choice = core::best_plan_for_level(core::Level::kLevel3,
+                                                    report.shape, machine)) {
+    report.plan_summary = choice->plan.describe();
+  }
+  report.set_result(instrumented);
+  report.metrics = session.metrics().merged();
+  report.has_critical_path = true;
+  report.critical_path = cell.critical_path;
+  cell.reconciled = telemetry::reconciles(report);
+
+  std::ofstream report_out("report.json");
+  report.write_json(report_out);
+  std::ofstream trace_out("trace.json");
+  telemetry::write_chrome_trace(trace_out, &trace, &session.spans(), {},
+                                &cell.critical_path);
   return cell;
 }
 
 /// Tile-pipeline cell: the same Level 3 run two ways — the strictly
-/// sequential tile loop vs the double-buffered tile pipeline, both on the
-/// lock-free SPSC mailbox rings.
+/// sequential tile loop vs the double-buffered tile pipeline.
 ///
-/// The headline number is the modeled iteration clock (the paper's
-/// metric): what share of `last_iteration_cost.total_s()` the ranks spend
-/// in per-tile combine traffic (`net_comm_s`). The shape forces a sliced
-/// plan (m'_group = 4) so every tile's combine is a real 4-way allreduce;
-/// the pipeline issues tile t's combine under tile t+1's distance sweep,
-/// so the pipelined side's modeled stall share must drop well below the
+/// The number is the modeled iteration clock (the paper's metric): what
+/// share of `last_iteration_cost.total_s()` the ranks spend in per-tile
+/// combine traffic (`net_comm_s`). The shape forces a sliced plan
+/// (m'_group = 4) so every tile's combine is a real 4-way allreduce; the
+/// pipeline issues tile t's combine under tile t+1's distance sweep, so the
+/// pipelined side's modeled stall share must drop well below the
 /// sequential side's. Deterministic — the model does not see host
-/// scheduling or the mailbox transport.
-///
-/// Host-observed stall (Σ swmpi.recv.stall_s across ranks / aggregate
-/// rank-seconds, i.e. elapsed wall seconds x rank count, best of N) rides
-/// along as a secondary signal. The stall sum spans every rank thread, so
-/// dividing by one host wall clock would let the share exceed 1.0 whenever
-/// more than one rank blocks at once; rank-seconds is the denominator that
-/// makes it a true utilisation fraction. On shared or single-core CI hosts
-/// the rank threads oversubscribe the machine and every blocking
-/// collective waits on the scheduler, so the host numbers are
-/// informational only — same caveat as the other wall-clock cells. Both
-/// runs must stay bit-identical.
+/// scheduling or the mailbox transport. Both runs must stay bit-identical.
 struct PipelineCell {
   double sequential_stall_share = 0;  ///< modeled net share, sequential
   double pipelined_stall_share = 0;   ///< modeled net share, pipelined
   double improvement = 0;  ///< sequential share / pipelined share
-  double host_sequential_stall_share = 0;
-  double host_pipelined_stall_share = 0;
   bool identical = false;
 };
 
@@ -1202,72 +847,31 @@ PipelineCell run_pipeline_cell() {
   // Small tiles so each rank runs a deep tile pipeline (64 tiles) rather
   // than a handful of wide ones.
   config.tile_samples = 64;
-  constexpr int kReps = 2;
 
-  struct Side {
-    bool pipeline = true;
-    double stall_share = 0;
-    double host_stall_share = 0;
-    core::KmeansResult result;
+  const auto run = [&](bool pipeline) {
+    core::KmeansConfig run_config = config;
+    run_config.pipeline_tiles = pipeline;
+    return core::run_level(core::Level::kLevel3, ds, run_config, machine, 0,
+                           kMprimeGroup);
   };
-  Side sequential;
-  sequential.pipeline = false;
-  Side pipelined;
-
-  for (Side* side : {&sequential, &pipelined}) {
-    config.pipeline_tiles = side->pipeline;
-    // Best-of-N host share: the minimum is the scheduler-noise-free
-    // estimate of how much stall is structural rather than preemption.
-    for (int rep = 0; rep < kReps; ++rep) {
-      telemetry::Telemetry session;
-      core::KmeansConfig run_config = config;
-      run_config.telemetry = &session;
-      util::Stopwatch clock;
-      core::KmeansResult r = core::run_level(core::Level::kLevel3, ds,
-                                             run_config, machine, 0,
-                                             kMprimeGroup);
-      const double wall_s = clock.seconds();
-      const auto snap = session.metrics().merged();
-      double stall_s = 0;
-      if (const auto it = snap.histograms.find("swmpi.recv.stall_s");
-          it != snap.histograms.end()) {
-        stall_s = it->second.sum;
-      }
-      // Aggregate rank-seconds denominator: stall_s sums over all rank
-      // threads, so the share is per-rank-time, not per-wall-time.
-      const double rank_seconds =
-          wall_s * static_cast<double>(machine.num_cgs());
-      double share = rank_seconds > 0 ? stall_s / rank_seconds : 0;
-      if (share > 1.0) {
-        std::cerr << "wallclock_engines: host stall share " << share
-                  << " > 1.0 (scheduler preemption inflated the stall "
-                     "clocks); clamping\n";
-        share = 1.0;
-      }
-      if (rep == 0 || share < side->host_stall_share) {
-        side->host_stall_share = share;
-      }
-      const simarch::CostTally& cost = r.last_iteration_cost;
-      side->stall_share =
-          cost.total_s() > 0 ? cost.net_comm_s / cost.total_s() : 0;
-      side->result = std::move(r);
-    }
-  }
+  const auto stall_share = [](const core::KmeansResult& r) {
+    const simarch::CostTally& cost = r.last_iteration_cost;
+    return cost.total_s() > 0 ? cost.net_comm_s / cost.total_s() : 0;
+  };
+  const core::KmeansResult sequential = run(false);
+  const core::KmeansResult pipelined = run(true);
 
   PipelineCell cell;
-  cell.sequential_stall_share = sequential.stall_share;
-  cell.pipelined_stall_share = pipelined.stall_share;
-  cell.host_sequential_stall_share = sequential.host_stall_share;
-  cell.host_pipelined_stall_share = pipelined.host_stall_share;
+  cell.sequential_stall_share = stall_share(sequential);
+  cell.pipelined_stall_share = stall_share(pipelined);
   // Floor the denominator: a fully-hidden combine models zero net stall.
-  cell.improvement =
-      sequential.stall_share / std::max(pipelined.stall_share, 1e-12);
+  cell.improvement = cell.sequential_stall_share /
+                     std::max(cell.pipelined_stall_share, 1e-12);
   cell.identical =
-      sequential.result.iterations == pipelined.result.iterations &&
-      sequential.result.assignments == pipelined.result.assignments &&
-      std::memcmp(sequential.result.centroids.data(),
-                  pipelined.result.centroids.data(),
-                  sequential.result.centroids.size() * sizeof(float)) == 0;
+      sequential.iterations == pipelined.iterations &&
+      sequential.assignments == pipelined.assignments &&
+      std::memcmp(sequential.centroids.data(), pipelined.centroids.data(),
+                  sequential.centroids.size() * sizeof(float)) == 0;
   return cell;
 }
 
@@ -1365,21 +969,15 @@ GemmCell run_gemm_cell() {
   const core::KmeansResult gated =
       core::run_level(core::Level::kLevel3, ds, conv, machine, 0, kMprime);
   const core::KmeansResult serial = core::lloyd_serial(ds, conv);
-  double max_diff = 0;
-  for (std::size_t i = 0; i < serial.centroids.size(); ++i) {
-    max_diff = std::max(
-        max_diff, std::abs(static_cast<double>(gated.centroids.data()[i]) -
-                           static_cast<double>(serial.centroids.data()[i])));
-    max_diff = std::max(
-        max_diff, std::abs(static_cast<double>(ungated.centroids.data()[i]) -
-                           static_cast<double>(serial.centroids.data()[i])));
-  }
-  cell.centroid_max_abs_diff = max_diff;
+  cell.centroid_max_abs_diff =
+      std::max(core::centroid_max_abs_diff(gated.centroids, serial.centroids),
+               core::centroid_max_abs_diff(ungated.centroids,
+                                           serial.centroids));
   cell.identical = gated.iterations == serial.iterations &&
                    ungated.iterations == serial.iterations &&
                    gated.assignments == serial.assignments &&
                    ungated.assignments == serial.assignments &&
-                   max_diff == 0.0;
+                   cell.centroid_max_abs_diff == 0.0;
   return cell;
 }
 
@@ -1404,9 +1002,9 @@ void emit_gemm(const GemmCell& c, util::JsonWriter& w) {
               c.identical ? "yes" : "NO");
 }
 
-/// Shared modeled-quantity gate for run() and run_smoke(): the GEMM cell
-/// is fully deterministic, so any miss is a real kernel / cost-model /
-/// s-step regression, never bench noise.
+/// Modeled-quantity gate for the GEMM cell: it is fully deterministic, so
+/// any miss is a real kernel / cost-model / s-step regression, never bench
+/// noise.
 int check_gemm_cell(const GemmCell& gemm) {
   if (!gemm.identical) {
     std::fprintf(stderr,
@@ -1540,16 +1138,9 @@ HierCell run_hier_cell() {
   for (const core::IterationStats& it : hier_run.history) {
     cell.engine_crossing += it.net_crossing_bytes;
   }
-  double max_diff = 0;
-  for (std::size_t i = 0; i < serial.centroids.size(); ++i) {
-    max_diff = std::max(
-        max_diff, std::abs(static_cast<double>(hier_run.centroids.data()[i]) -
-                           static_cast<double>(serial.centroids.data()[i])));
-    max_diff = std::max(
-        max_diff, std::abs(static_cast<double>(flat_run.centroids.data()[i]) -
-                           static_cast<double>(serial.centroids.data()[i])));
-  }
-  cell.centroid_max_abs_diff = max_diff;
+  cell.centroid_max_abs_diff = std::max(
+      core::centroid_max_abs_diff(hier_run.centroids, serial.centroids),
+      core::centroid_max_abs_diff(flat_run.centroids, serial.centroids));
   cell.identical =
       hier_run.iterations == serial.iterations &&
       flat_run.iterations == serial.iterations &&
@@ -1557,7 +1148,7 @@ HierCell run_hier_cell() {
       flat_run.assignments == serial.assignments &&
       std::memcmp(hier_run.centroids.data(), flat_run.centroids.data(),
                   hier_run.centroids.size() * sizeof(float)) == 0 &&
-      max_diff == 0.0;
+      cell.centroid_max_abs_diff == 0.0;
   return cell;
 }
 
@@ -1622,9 +1213,10 @@ int check_hier_cell(const HierCell& c) {
 
 int run_smoke() {
   bench::banner("wallclock_engines --smoke",
-                "CI-sized bound-gate check: gated vs ungated assign to "
-                "convergence (n=1024, k=16, d=8, 4-CG group)");
-  const GatedSection g = run_gated_section(1024, 16, 8, kGroupCgs, 40);
+                "CI-sized engine gates: bound gate on the shipped Level 3 "
+                "engine (n=1024, k=16, d=8, 4-CG group), telemetry, tile "
+                "pipeline, GEMM + s-step, hierarchical collectives, SDC");
+  const GateCell gate = run_gate_cell(1024, 16, 8, 40);
   const TelemetryCell tel = run_telemetry_cell();
   const PipelineCell pipe = run_pipeline_cell();
   const GemmCell gemm = run_gemm_cell();
@@ -1636,18 +1228,9 @@ int run_smoke() {
     w.begin_object();
     w.kv("smoke", true);
     bench::emit_run_metadata(w);
-    w.key("workload").begin_object();
-    w.kv("n", std::uint64_t{1024});
-    w.kv("k", std::uint64_t{16});
-    w.kv("d", std::uint64_t{8});
-    w.kv("group_cgs", static_cast<std::uint64_t>(kGroupCgs));
-    w.end_object();
-    emit_gated(g, w);
+    emit_gate(gate, w);
     emit_sdc(sdc, w);
     w.key("telemetry").begin_object();
-    w.kv("plain_s", tel.plain_s);
-    w.kv("instrumented_s", tel.instrumented_s);
-    w.kv("overhead_frac", tel.overhead_frac);
     w.kv("bit_identical", tel.identical);
     w.kv("metrics_reconcile_with_history", tel.reconciled);
     w.kv("trace", "trace.json");
@@ -1676,10 +1259,6 @@ int run_smoke() {
     w.kv("sequential_stall_share", pipe.sequential_stall_share);
     w.kv("pipelined_stall_share", pipe.pipelined_stall_share);
     w.kv("stall_share_improvement", pipe.improvement);
-    w.kv("host_observed_sequential_stall_share",
-         pipe.host_sequential_stall_share);
-    w.kv("host_observed_pipelined_stall_share",
-         pipe.host_pipelined_stall_share);
     w.kv("bit_identical", pipe.identical);
     w.end_object();
     emit_gemm(gemm, w);
@@ -1687,9 +1266,7 @@ int run_smoke() {
     w.end_object();
     json << "\n";
   }
-  std::printf("telemetry overhead: %.2f%% (plain %.6fs, instrumented %.6fs), "
-              "bit-identical: %s, metrics reconcile: %s\n",
-              tel.overhead_frac * 100.0, tel.plain_s, tel.instrumented_s,
+  std::printf("telemetry: bit-identical: %s, metrics reconcile: %s\n",
               tel.identical ? "yes" : "NO", tel.reconciled ? "yes" : "NO");
   if (!tel.critical_path.stragglers.empty()) {
     const auto& top = tel.critical_path.stragglers.front();
@@ -1703,19 +1280,16 @@ int run_smoke() {
                 tel.flight_identical ? "yes" : "NO");
   }
   std::printf("combine stall share of modeled iteration: sequential "
-              "%.2f%%, pipelined %.2f%% (%.1fx cut); host-observed: "
-              "sequential %.2f%%, pipelined %.2f%%; bit-identical: %s\n",
+              "%.2f%%, pipelined %.2f%% (%.1fx cut); bit-identical: %s\n",
               pipe.sequential_stall_share * 100.0,
               pipe.pipelined_stall_share * 100.0, pipe.improvement,
-              pipe.host_sequential_stall_share * 100.0,
-              pipe.host_pipelined_stall_share * 100.0,
               pipe.identical ? "yes" : "NO");
   std::printf("sdc defense: %zu/%zu injections detected, %zu localized "
               "retries, %zu rollbacks, modeled overhead %.2f%%\n",
               sdc.detected, sdc.injections, sdc.localized_retries,
               sdc.rollbacks, sdc.overhead_frac * 100.0);
   std::printf("(artifacts: BENCH_wallclock.json, trace.json, report.json)\n");
-  if (!g.identical) {
+  if (!gate.identical) {
     std::fprintf(stderr,
                  "FATAL: gated assign diverged from ungated/serial Lloyd\n");
     return 1;
@@ -1773,217 +1347,11 @@ int run_smoke() {
   return check_hier_cell(hier);
 }
 
-int run() {
-  bench::banner("wallclock_engines",
-                "host wall-clock of the Level 3 assign phase, per-sample vs "
-                "batched collectives (n=8192, k=256, d=128, 4-CG group)");
-
-  const data::Dataset ds = data::make_uniform(kN, kD, 2024);
-  core::KmeansConfig config;
-  config.k = kK;
-  config.max_iterations = 1;
-  config.tolerance = -1;
-  config.init = core::InitMethod::kFirstK;
-  const util::Matrix centroids = core::init_centroids(ds, config);
-  const std::size_t k_local = (kK + kGroupCgs - 1) / kGroupCgs;
-
-  // Warm-up pass so thread creation and page faults hit neither timing.
-  (void)assign_batched(ds, centroids, k_local);
-
-  // Best-of-N: the minimum is the run least disturbed by scheduler noise,
-  // which matters on shared/oversubscribed hosts. Winners are identical
-  // across repetitions (deterministic), so any repetition's copy serves.
-  constexpr int kReps = 3;
-  AssignTiming batched = assign_batched(ds, centroids, k_local);
-  AssignTiming per_sample = assign_per_sample(ds, centroids, k_local);
-  for (int rep = 1; rep < kReps; ++rep) {
-    batched.seconds =
-        std::min(batched.seconds, assign_batched(ds, centroids, k_local).seconds);
-    per_sample.seconds = std::min(per_sample.seconds,
-                                  assign_per_sample(ds, centroids, k_local).seconds);
-  }
-  if (per_sample.winners != batched.winners) {
-    std::fprintf(stderr,
-                 "FATAL: batched assign diverged from per-sample assign\n");
-    return 1;
-  }
-  const double speedup = per_sample.seconds / batched.seconds;
-
-  // Update phase, both ways, from the same per-rank accumulators. One
-  // round is ~100us, so each measurement runs kUpdateReps rounds
-  // back-to-back (idempotent — see update_root_serialized).
-  constexpr int kUpdateReps = 200;
-  const std::vector<core::detail::UpdateAccumulator> accs =
-      build_accumulators(ds, centroids);
-  util::Matrix root_centroids = centroids;
-  util::Matrix sharded_centroids = centroids;
-  {
-    util::Matrix warm = centroids;
-    (void)update_sharded(accs, warm, 3);
-  }
-  double root_seconds =
-      update_root_serialized(accs, root_centroids, kUpdateReps);
-  double sharded_seconds =
-      update_sharded(accs, sharded_centroids, kUpdateReps);
-  for (int rep = 1; rep < kReps; ++rep) {
-    util::Matrix rc = centroids;
-    util::Matrix sc = centroids;
-    root_seconds =
-        std::min(root_seconds, update_root_serialized(accs, rc, kUpdateReps));
-    sharded_seconds =
-        std::min(sharded_seconds, update_sharded(accs, sc, kUpdateReps));
-  }
-  if (std::memcmp(root_centroids.data(), sharded_centroids.data(),
-                  kK * kD * sizeof(float)) != 0) {
-    std::fprintf(stderr,
-                 "FATAL: sharded update diverged from root-serialized "
-                 "update\n");
-    return 1;
-  }
-  const double update_speedup = root_seconds / sharded_seconds;
-
-  // Full engine iteration (assign + update + cost model) on a 4-CG
-  // Level 3 machine, for the end-to-end trajectory.
-  const simarch::MachineConfig machine =
-      simarch::MachineConfig::tiny(2, 8, 16384);
-  util::Stopwatch engine_clock;
-  const core::KmeansResult engine = core::run_level(
-      core::Level::kLevel3, ds, config, machine, 0, kGroupCgs);
-  const double engine_seconds = engine_clock.seconds();
-
-  // Bound gate: converging gated-vs-ungated comparison on the same cell.
-  const GatedSection gate = run_gated_section(kN, kK, kD, kGroupCgs, 60);
-
-  util::Table table({"phase", "wall_s", "collectives", "speedup"});
-  const std::size_t tiles =
-      (kN + core::detail::kAssignTileSamples - 1) /
-      core::detail::kAssignTileSamples;
-  table.new_row()
-      .add("assign_per_sample")
-      .add(per_sample.seconds, 6)
-      .add(static_cast<std::uint64_t>(kN))
-      .add(1.0, 2);
-  table.new_row()
-      .add("assign_batched")
-      .add(batched.seconds, 6)
-      .add(static_cast<std::uint64_t>(tiles))
-      .add(speedup, 2);
-  table.new_row()
-      .add("update_root_serialized")
-      .add(root_seconds, 6)
-      .add(static_cast<std::uint64_t>(3 * kUpdateReps))
-      .add(1.0, 2);
-  table.new_row()
-      .add("update_sharded")
-      .add(sharded_seconds, 6)
-      // partials allgather + stats allreduce per round
-      .add(static_cast<std::uint64_t>(2 * kUpdateReps))
-      .add(update_speedup, 2);
-  double gated_total = 0;
-  double ungated_total = 0;
-  std::uint64_t gated_bytes = 0;
-  std::uint64_t ungated_bytes = 0;
-  for (std::size_t it = 0; it < gate.gated.iterations; ++it) {
-    gated_total += gate.gated.assign_s[it];
-    ungated_total += gate.ungated.assign_s[it];
-    gated_bytes += gate.gated.collective_bytes[it];
-    ungated_bytes += gate.ungated.collective_bytes[it];
-  }
-  table.new_row()
-      .add("assign_ungated_converge")
-      .add(ungated_total, 6)
-      .add(ungated_bytes)
-      .add(1.0, 2);
-  table.new_row()
-      .add("assign_gated_converge")
-      .add(gated_total, 6)
-      .add(gated_bytes)
-      .add(gate.tail_speedup, 2);
-  bench::emit(table, "wallclock_engines");
-
-  const PipelineCell pipe = run_pipeline_cell();
-  const GemmCell gemm = run_gemm_cell();
-  const HierCell hier = run_hier_cell();
-
-  std::ofstream json("BENCH_wallclock.json");
-  util::JsonWriter w(json);
-  w.begin_object();
-  bench::emit_run_metadata(w);
-  w.key("workload").begin_object();
-  w.kv("n", static_cast<std::uint64_t>(kN));
-  w.kv("k", static_cast<std::uint64_t>(kK));
-  w.kv("d", static_cast<std::uint64_t>(kD));
-  w.kv("group_cgs", static_cast<std::uint64_t>(kGroupCgs));
-  w.end_object();
-  w.kv("tile_samples",
-       static_cast<std::uint64_t>(core::detail::kAssignTileSamples));
-  w.kv("assign_per_sample_s", per_sample.seconds);
-  w.kv("assign_batched_s", batched.seconds);
-  w.kv("assign_speedup", speedup);
-  w.kv("update_reps", static_cast<std::uint64_t>(kUpdateReps));
-  w.kv("update_root_serialized_s", root_seconds);
-  w.kv("update_sharded_s", sharded_seconds);
-  w.kv("update_speedup", update_speedup);
-  w.kv("level3_engine_iteration_s", engine_seconds);
-  w.kv("simulated_iteration_s", engine.last_iteration_cost.total_s());
-  emit_gated(gate, w);
-  w.key("tile_pipeline").begin_object();
-  w.kv("sequential_stall_share", pipe.sequential_stall_share);
-  w.kv("pipelined_stall_share", pipe.pipelined_stall_share);
-  w.kv("stall_share_improvement", pipe.improvement);
-  w.kv("host_observed_sequential_stall_share",
-       pipe.host_sequential_stall_share);
-  w.kv("host_observed_pipelined_stall_share",
-       pipe.host_pipelined_stall_share);
-  w.kv("bit_identical", pipe.identical);
-  w.end_object();
-  emit_gemm(gemm, w);
-  emit_hier(hier, w);
-  w.end_object();
-  json << "\n";
-  std::printf("assign speedup (per-sample / batched): %.2fx\n", speedup);
-  std::printf("update speedup (root-serialized / sharded): %.2fx\n",
-              update_speedup);
-  std::printf("combine stall share of modeled iteration: sequential "
-              "%.2f%%, pipelined %.2f%% (%.1fx cut), bit-identical: %s\n",
-              pipe.sequential_stall_share * 100.0,
-              pipe.pipelined_stall_share * 100.0, pipe.improvement,
-              pipe.identical ? "yes" : "NO");
-  std::printf("(json: BENCH_wallclock.json)\n");
-  if (!gate.identical) {
-    std::fprintf(stderr,
-                 "FATAL: gated assign diverged from ungated/serial Lloyd\n");
-    return 1;
-  }
-  if (!pipe.identical) {
-    std::fprintf(stderr,
-                 "FATAL: sequential and pipelined tile runs diverged\n");
-    return 1;
-  }
-  if (const int rc = check_gemm_cell(gemm); rc != 0) {
-    return rc;
-  }
-  if (const int rc = check_hier_cell(hier); rc != 0) {
-    return rc;
-  }
-  // Exit gates ride on modeled quantities and bit-identity only. The
-  // wall-clock ratios above (assign/update speedups, gated tail speedup)
-  // depend on host load and core count — on an oversubscribed CI machine
-  // the rank threads time-share one core and any ratio can land anywhere —
-  // so they are reported for trend-tracking but never fail the bench.
-  std::printf("wall-clock ratios are informational; exit gates on modeled "
-              "quantities and bit-identity only\n");
-  return pipe.improvement >= 2.0 ? 0 : 2;
-}
-
 }  // namespace
 }  // namespace swhkm
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      return swhkm::run_smoke();
-    }
     if (std::string(argv[i]) == "--faults") {
       return swhkm::run_faults();
     }
@@ -1991,5 +1359,5 @@ int main(int argc, char** argv) {
       return swhkm::run_sdc();
     }
   }
-  return swhkm::run();
+  return swhkm::run_smoke();
 }

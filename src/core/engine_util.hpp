@@ -74,10 +74,9 @@ inline constexpr std::size_t kAssignTileSamples = 256;
 /// saturate the FP pipes without spilling vector registers.
 inline constexpr std::size_t kCentroidRowBlock = 16;
 
-/// Local (distance, centroid-index) argmin record. Layout-compatible with
-/// swmpi::MinLoc so Level 3 can hand a tile of these straight to the
-/// batched allreduce; the tile kernels are templated so serial callers do
-/// not need the swmpi headers.
+/// Local (distance, centroid-index) argmin record, the serial Lloyd tile's
+/// record; the tile kernels are templated so serial callers do not need
+/// the swmpi headers.
 struct TileScore {
   double value = 0;
   std::uint64_t index = 0;

@@ -1,7 +1,6 @@
 #include "core/level3.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "core/engine_loop.hpp"
 #include "simarch/regcomm.hpp"
@@ -35,27 +34,28 @@ class Level3Grid {
         // `sstep` consecutive tiles instead of one per tile. The fold stays
         // element-wise over disjoint sample ranges, so any span size is
         // bit-identical; only the collective *round* count moves.
-        span_samples_(loop.run.tile_samples * loop.run.config.sstep_tiles) {
+        span_samples_(loop.run.tile_samples * loop.run.config.sstep_tiles),
+        record_bytes_(loop.gate ? sizeof(swmpi::MinLoc2)
+                                : sizeof(swmpi::MinLoc)) {
     const detail::EngineRun& run = loop.run;
     // Group argmin combine price per sample: tiny payloads, so the
     // hierarchical charge's size-adaptive stage always lands on the
     // binomial tree (and degenerates to the exact flat charge whenever the
     // group sits inside one supernode — every group at paper placements).
     // Gated spans carry MinLoc2 records — 8 bytes per sample more than the
-    // plain argmin, the price of the exact global runner-up distance.
-    const std::size_t record = loop.gate ? sizeof(swmpi::MinLoc2) : 16;
-    group_charge_ = run.topo.hier_allreduce_charge(record, group_ * p_, p_,
-                                                   run.xover);
-    group_combine_time_ = run.hier
-                              ? group_charge_.seconds
-                              : run.topo.allreduce_time(record, group_ * p_,
-                                                        p_);
+    // plain argmin, the price of the exact global runner-up distance. The
+    // host combines ungated spans over the same MinLoc2 record, but an
+    // ungated machine needs only the 16-byte (distance, index) argmin, so
+    // that is what the model prices.
+    group_charge_ = run.topo.hier_allreduce_charge(record_bytes_, group_ * p_,
+                                                   p_, run.xover);
+    group_combine_time_ =
+        run.hier ? group_charge_.seconds
+                 : run.topo.allreduce_time(record_bytes_, group_ * p_, p_);
     for (SpanSlot& s : slots_) {
+      s.dc.reserve(span_samples_);
       if (loop.gate) {
-        s.dc2.reserve(span_samples_);
         s.ids.reserve(span_samples_);
-      } else {
-        s.dc1.reserve(span_samples_);
       }
     }
     // Every rank of the group keeps a *private* replica of the bounds and
@@ -83,13 +83,13 @@ class Level3Grid {
     // drain can overlap the next span's sweep. Sub-tiles claim records in
     // ascending order, so the combined store maps 1:1 onto the span's
     // survivors in ascending i.
-    const auto stage_into = [&](SpanSlot& s, auto& dc, auto op) {
+    const auto stage = [&](SpanSlot& s) {
       s.ids.clear();
-      dc.reset();
+      s.dc.reset();
       for (std::size_t sub0 = s.t0; sub0 < s.t1; sub0 += run.tile_samples) {
         const std::size_t sub1 = std::min(s.t1, sub0 + run.tile_samples);
         if (!loop.gate) {
-          loop.score(sub0, j_begin_, j_end_, dc.claim(sub1 - sub0));
+          loop.score(sub0, j_begin_, j_end_, s.dc.claim(sub1 - sub0));
           continue;
         }
         const std::size_t before = s.ids.size();
@@ -115,21 +115,21 @@ class Level3Grid {
         }
         loop.score_ids(
             std::span<const std::uint32_t>(s.ids.data() + before, fresh),
-            j_begin_, j_end_, dc.claim(fresh));
+            j_begin_, j_end_, s.dc.claim(fresh));
       }
       // A fully-gated span claimed nothing: launch() skips the collective
       // and no round is charged.
-      if (dc.launch(group_comm_, op) && p_ > 1) {
+      if (s.dc.launch(group_comm_, swmpi::CombineMinLoc2{}) && p_ > 1) {
         loop.tally.net_rounds += 1;
       }
     };
     // Retire span [s.t0, s.t1): drain its combine, then merge the resolved
     // winners in ascending-i order (the bit-identity invariant). Ungated
     // spans resolved every sample, so records[pos] is sample t0 + pos.
-    const auto retire_from = [&](SpanSlot& s, auto& dc) {
-      if (dc.active()) {
+    const auto retire = [&](SpanSlot& s) {
+      if (s.dc.active()) {
         const double t_us = loop.spans_on ? loop.tel->now_us() : 0.0;
-        dc.finish();
+        s.dc.finish();
         if (loop.spans_on) {
           if (drain_first_us < 0) {
             drain_first_us = t_us;
@@ -137,14 +137,14 @@ class Level3Grid {
           drain_wall_us += loop.tel->now_us() - t_us;
         }
       }
-      const auto scores = dc.records();
+      const auto scores = s.dc.records();
       std::size_t pos = 0;
       for (std::size_t i = s.t0; i < s.t1; ++i) {
         std::uint32_t winner;
         if (!loop.gate || (pos < s.ids.size() && s.ids[pos] == i)) {
-          const auto& rec = scores[pos];
+          const swmpi::MinLoc2& rec = scores[pos];
           winner = static_cast<std::uint32_t>(rec.index);
-          if constexpr (detail::HasSecond<std::remove_cvref_t<decltype(rec)>>) {
+          if (loop.gate) {
             local_assign_[i] = winner;
             detail::refresh_bounds(rec, loop.upper[i], loop.lower[i]);
           }
@@ -164,19 +164,7 @@ class Level3Grid {
       }
       unresolved_ += pos;
     };
-    // Ungated spans carry the plain argmin; gated ones (the exact first
-    // iteration too) the MinLoc2 top-two record the bounds are built from.
-    const auto sweep = [&](auto dc, auto op) {
-      loop.drive_tiles(
-          slots_, begin, end, span_samples_,
-          [&](SpanSlot& s) { stage_into(s, s.*dc, op); },
-          [&](SpanSlot& s) { retire_from(s, s.*dc); });
-    };
-    if (loop.gate) {
-      sweep(&SpanSlot::dc2, swmpi::CombineMinLoc2{});
-    } else {
-      sweep(&SpanSlot::dc1, swmpi::ops::Min{});
-    }
+    loop.drive_tiles(slots_, begin, end, span_samples_, stage, retire);
     if (loop.spans_on && drain_first_us >= 0 && p_ > 1) {
       loop.tel->spans().record("combine_drain",
                                static_cast<std::uint32_t>(loop.cg),
@@ -231,10 +219,7 @@ class Level3Grid {
     const double tile_net_s =
         static_cast<double>(unresolved_) * group_combine_time_;
     tally.net_comm_s += tile_net_s;
-    tally.net_bytes += unresolved_ *
-                       (loop.gate ? sizeof(swmpi::MinLoc2)
-                                  : sizeof(swmpi::MinLoc)) *
-                       (p_ - 1);
+    tally.net_bytes += unresolved_ * record_bytes_ * (p_ - 1);
     if (run.hier) {
       tally.net_crossing_bytes += unresolved_ * group_charge_.crossing_bytes;
       if (loop.cg == 0 && p_ > 1 && unresolved_ > 0) {
@@ -273,8 +258,7 @@ class Level3Grid {
   /// combine drains.
   struct SpanSlot : detail::TileSlotBase {
     std::vector<std::uint32_t> ids;
-    swmpi::DeferredCombine<swmpi::MinLoc, swmpi::ops::Min> dc1;
-    swmpi::DeferredCombine<swmpi::MinLoc2, swmpi::CombineMinLoc2> dc2;
+    swmpi::DeferredCombine<swmpi::MinLoc2, swmpi::CombineMinLoc2> dc;
   };
 
   bool owns(std::uint32_t j) const { return j >= j_begin_ && j < j_end_; }
@@ -286,6 +270,7 @@ class Level3Grid {
   const std::size_t j_begin_;  // this CG's centroid slice [j_begin, j_end)
   const std::size_t j_end_;
   const std::size_t span_samples_;
+  const std::size_t record_bytes_;  // modeled combine record per sample
   simarch::CollectiveCharge group_charge_;
   double group_combine_time_ = 0;
   SpanSlot slots_[2];

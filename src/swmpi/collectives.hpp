@@ -74,7 +74,7 @@ class CollectiveScope {
 }  // namespace detail
 
 /// Which schedule the reduction-shaped collectives (allreduce and friends,
-/// reduce_scatter_ranges, allgatherv, SplitAllreduce/DeferredCombine) run.
+/// allgatherv, SplitAllreduce/DeferredCombine) run.
 /// kFlat is the original single binomial / recursive pattern over the whole
 /// world and stays available as the A/B baseline.
 enum class CollectiveSchedule {
@@ -161,8 +161,9 @@ struct Max {
 /// (distance, index) pair with the tie-break-toward-lower-index ordering
 /// that keeps partitioned argmin identical to a serial scan. The ordering
 /// is element-wise, so one vector-shaped allreduce_minloc resolves a whole
-/// tile of samples in a single barrier — the engines batch their assign
-/// phase over this rather than combining per sample.
+/// tile of samples in a single barrier. The engines combine MinLoc2 on the
+/// host; the cost model prices an ungated Level 3 combine at this 16-byte
+/// record.
 struct MinLoc {
   double value = 0;
   std::uint64_t index = 0;
@@ -453,10 +454,14 @@ inline std::vector<std::size_t> even_offsets(std::size_t len, int parts) {
 
 /// Bandwidth-optimal inter stage (power-of-two group counts): recursive
 /// halving reduce-scatter over an even element partition, then recursive
-/// doubling allgather. Processing the lowest group bit first with the
-/// lower subtree as the inout operand reproduces the binomial tree's
-/// association element-wise — the same argument as reduce_scatter_ranges —
-/// so switching algorithms by payload size never changes a bit.
+/// doubling allgather. Before the halving step for group bit `s`, group g
+/// holds, for every block b sharing g's low bits below s, the fold of the
+/// groups that share those bits — exactly the binomial subtree partial the
+/// tree's steps below s built at the subtree's lowest group. The step pairs
+/// g with g ^ s, the tree's own pairing at step s, and combines with the
+/// lower group's partial as the inout operand, the tree's operand order.
+/// So every element sees the tree's association, and switching algorithms
+/// by payload size never changes a bit.
 template <typename T, typename Op>
 void hier_inter_rsag(Comm& comm, const HierLayout& l, const HierTags& tags,
                      std::span<T> buf, Op op) {
@@ -580,132 +585,6 @@ void hier_allreduce(Comm& comm, std::span<T> buf, Op op,
     publish_ptr(comm, l.leader, tags.ptr, buf.data());
   }
   hier_allreduce_finish(comm, l, tags, spec, buf, op);
-}
-
-/// Two-level reduce_scatter_ranges: intra fold into the leaders, inter
-/// stage over *group ranges* (each group's range is the concatenation of
-/// its members' ranges), then each leader hands members their slice as
-/// plain bytes — members need no ack since they only receive.
-template <typename T, typename Op>
-std::vector<T> hier_reduce_scatter_ranges(
-    Comm& comm, std::span<T> buf, std::span<const std::size_t> offsets,
-    Op op, const HierarchySpec& spec) {
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const HierLayout l = hier_layout(rank, size, spec.ranks_per_group);
-  const HierTags tags = reserve_hier_tags(comm);
-  if (l.local != 0) {
-    publish_ptr(comm, l.leader, tags.ptr, buf.data());
-    std::vector<T> mine = comm.recv<T>(l.leader, tags.down);
-    SWHKM_REQUIRE(mine.size() == offsets[rank + 1] - offsets[rank],
-                  "hier reduce_scatter_ranges slice size mismatch");
-    return mine;
-  }
-  hier_intra_fold(comm, l, tags, buf, op);
-  const int ng = l.num_groups;
-  // Group q's range covers its member ranges: [goff(q), goff(q + 1)).
-  const auto goff = [&](int q) {
-    return offsets[std::min(static_cast<std::size_t>(q) *
-                                static_cast<std::size_t>(l.width),
-                            static_cast<std::size_t>(size))];
-  };
-  const bool rsag = inter_uses_rsag(l, buf.size_bytes(), spec.crossover_bytes);
-  if (ng > 1) {
-    const int g = l.group;
-    if (rsag) {
-      // Recursive halving over group ranges, lowest group bit first — the
-      // flat pow2 path of reduce_scatter_ranges transposed to group space.
-      std::vector<T> pack;
-      for (int s = 1; s < ng; s <<= 1) {
-        const int peer = (g ^ s) * l.width;
-        pack.clear();
-        for (int b = 0; b < ng; ++b) {
-          if ((b & (s - 1)) == (g & (s - 1)) && (b & s) != (g & s)) {
-            pack.insert(
-                pack.end(),
-                buf.begin() + static_cast<std::ptrdiff_t>(goff(b)),
-                buf.begin() + static_cast<std::ptrdiff_t>(goff(b + 1)));
-          }
-        }
-        comm.send<T>(peer, tags.inter_a,
-                     std::span<const T>(pack.data(), pack.size()));
-        const std::vector<T> incoming = comm.recv<T>(peer, tags.inter_a);
-        std::size_t at = 0;
-        for (int b = 0; b < ng; ++b) {
-          if ((b & (s - 1)) != (g & (s - 1)) || (b & s) != (g & s)) {
-            continue;
-          }
-          T* mine = buf.data() + goff(b);
-          const std::size_t len = goff(b + 1) - goff(b);
-          SWHKM_REQUIRE(at + len <= incoming.size(),
-                        "hier group-halving block mismatch");
-          if ((g & s) == 0) {
-            for (std::size_t i = 0; i < len; ++i) {
-              op(mine[i], incoming[at + i]);
-            }
-          } else {
-            for (std::size_t i = 0; i < len; ++i) {
-              T merged = incoming[at + i];
-              op(merged, mine[i]);
-              mine[i] = merged;
-            }
-          }
-          at += len;
-        }
-        SWHKM_REQUIRE(at == incoming.size(),
-                      "hier group-halving payload mismatch");
-      }
-    } else {
-      // Tree reduce over group indices to group 0's leader, which then
-      // sends every other leader its group range.
-      for (int step = 1; step < ng; step <<= 1) {
-        if (g & step) {
-          comm.send<T>(binomial_parent(g) * l.width, tags.inter_a,
-                       std::span<const T>(buf.data(), buf.size()));
-          break;
-        }
-        if (g + step < ng) {
-          std::vector<T> incoming =
-              comm.recv<T>((g + step) * l.width, tags.inter_a);
-          SWHKM_REQUIRE(incoming.size() == buf.size(),
-                        "hier inter-tree payload size mismatch");
-          for (std::size_t i = 0; i < buf.size(); ++i) {
-            op(buf[i], incoming[i]);
-          }
-        }
-      }
-      if (g == 0) {
-        for (int q = 1; q < ng; ++q) {
-          comm.send<T>(q * l.width, tags.inter_b,
-                       std::span<const T>(buf.data() + goff(q),
-                                          goff(q + 1) - goff(q)));
-        }
-      } else {
-        std::vector<T> range = comm.recv<T>(0, tags.inter_b);
-        SWHKM_REQUIRE(range.size() == goff(g + 1) - goff(g),
-                      "hier group range size mismatch");
-        std::copy(range.begin(), range.end(),
-                  buf.begin() + static_cast<std::ptrdiff_t>(goff(g)));
-      }
-    }
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    const int r = l.leader + j;
-    comm.send<T>(r, tags.down,
-                 std::span<const T>(buf.data() + offsets[r],
-                                    offsets[r + 1] - offsets[r]));
-  }
-  tick_hier_counters(
-      comm,
-      rsag ? "swmpi.hier.reduce_scatter_ranges.algo_rsag"
-           : "swmpi.hier.reduce_scatter_ranges.algo_tree",
-      "swmpi.hier.reduce_scatter_ranges.intra_rounds",
-      "swmpi.hier.reduce_scatter_ranges.inter_rounds",
-      ceil_log2(l.group_size),
-      ng > 1 ? (rsag ? ceil_log2(ng) : ceil_log2(ng) + 1) : 0);
-  return std::vector<T>(
-      buf.begin() + static_cast<std::ptrdiff_t>(offsets[rank]),
-      buf.begin() + static_cast<std::ptrdiff_t>(offsets[rank + 1]));
 }
 
 /// Two-level allgatherv: members publish their contribution pointers, each
@@ -1124,8 +1003,9 @@ class DeferredCombine {
 };
 
 /// Gather one value per rank; every rank receives the vector indexed by
-/// rank. Linear gather through rank 0 plus broadcast — collectives at this
-/// granularity run once per engine setup, not per sample.
+/// rank. Linear gather through rank 0 plus broadcast. The engines call it
+/// every iteration (the update phase's partials publish and the tally
+/// combine), but only with one small record per rank, never per sample.
 template <typename T>
 std::vector<T> allgather(Comm& comm, const T& mine) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -1148,259 +1028,6 @@ std::vector<T> allgather(Comm& comm, const T& mine) {
   }
   bcast(comm, 0, std::span<T>(all.data(), all.size()));
   return all;
-}
-
-/// Gather one value per rank at `root`; root receives the vector indexed
-/// by rank, other ranks receive an empty vector.
-template <typename T>
-std::vector<T> gather(Comm& comm, int root, const T& mine) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int size = comm.size();
-  detail::CollectiveScope scope(
-      comm, telemetry::CollectiveKind::kGather,
-      static_cast<std::size_t>(size) * sizeof(T));
-  const int tag = comm.next_collective_tag();
-  if (comm.rank() != root) {
-    comm.send_value<T>(root, tag, mine);
-    return {};
-  }
-  std::vector<T> all(static_cast<std::size_t>(size));
-  all[static_cast<std::size_t>(root)] = mine;
-  for (int r = 0; r < size; ++r) {
-    if (r != root) {
-      all[static_cast<std::size_t>(r)] = comm.recv_value<T>(r, tag);
-    }
-  }
-  return all;
-}
-
-/// Scatter one value per rank from `root`; rank r receives values[r].
-/// Non-root callers pass an empty span.
-template <typename T>
-T scatter(Comm& comm, int root, std::span<const T> values) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int size = comm.size();
-  detail::CollectiveScope scope(
-      comm, telemetry::CollectiveKind::kScatter,
-      static_cast<std::size_t>(size) * sizeof(T));
-  const int tag = comm.next_collective_tag();
-  if (comm.rank() == root) {
-    SWHKM_REQUIRE(values.size() == static_cast<std::size_t>(size),
-                  "scatter needs one value per rank at the root");
-    for (int r = 0; r < size; ++r) {
-      if (r != root) {
-        comm.send_value<T>(r, tag, values[static_cast<std::size_t>(r)]);
-      }
-    }
-    return values[static_cast<std::size_t>(root)];
-  }
-  return comm.recv_value<T>(root, tag);
-}
-
-/// Personalised all-to-all: rank r sends sendbuf[q] to rank q and receives
-/// what every rank addressed to it, indexed by source rank.
-template <typename T>
-std::vector<T> alltoall(Comm& comm, std::span<const T> sendbuf) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int size = comm.size();
-  detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kAlltoall,
-                                sendbuf.size_bytes());
-  SWHKM_REQUIRE(sendbuf.size() == static_cast<std::size_t>(size),
-                "alltoall needs one value per destination");
-  const int tag = comm.next_collective_tag();
-  std::vector<T> recvbuf(static_cast<std::size_t>(size));
-  recvbuf[static_cast<std::size_t>(comm.rank())] =
-      sendbuf[static_cast<std::size_t>(comm.rank())];
-  for (int q = 0; q < size; ++q) {
-    if (q != comm.rank()) {
-      comm.send_value<T>(q, tag, sendbuf[static_cast<std::size_t>(q)]);
-    }
-  }
-  for (int q = 0; q < size; ++q) {
-    if (q != comm.rank()) {
-      recvbuf[static_cast<std::size_t>(q)] = comm.recv_value<T>(q, tag);
-    }
-  }
-  return recvbuf;
-}
-
-/// Combined send+receive with a single peer (or two different peers) —
-/// the deadlock-free building block for ring exchanges. Send never
-/// blocks in this runtime, so the operation is trivially safe, but the
-/// call keeps user code shaped like its MPI counterpart.
-template <typename T>
-std::vector<T> sendrecv(Comm& comm, int dest, std::span<const T> payload,
-                        int source) {
-  detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kSendrecv,
-                                payload.size_bytes());
-  const int tag = comm.next_collective_tag();
-  comm.send<T>(dest, tag, payload);
-  return comm.recv<T>(source, tag);
-}
-
-/// Reduce-scatter: element-wise reduce `buf` (one block of `block` values
-/// per rank, so buf.size() == block * size) and hand rank r its reduced
-/// block r. The bandwidth-optimal first half of large AllReduces.
-template <typename T, typename Op>
-std::vector<T> reduce_scatter(Comm& comm, std::span<const T> buf,
-                              std::size_t block, Op op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  detail::CollectiveScope scope(
-      comm, telemetry::CollectiveKind::kReduceScatter, buf.size_bytes());
-  const int size = comm.size();
-  SWHKM_REQUIRE(buf.size() == block * static_cast<std::size_t>(size),
-                "reduce_scatter needs one block per rank");
-  const int tag = comm.next_collective_tag();
-  // Ring algorithm: size-1 steps, each passing one partially-reduced
-  // block to the right neighbour; deterministic combine order by rank.
-  const int right = (comm.rank() + 1) % size;
-  const int left = (comm.rank() - 1 + size) % size;
-  // Step s: this rank sends block (rank - s) and receives + reduces block
-  // (rank - s - 1), so after size-1 steps it holds block (rank + 1) % ...
-  // Simplify with explicit working copy.
-  // Offset -1 so that after size-1 steps rank r holds exactly block r,
-  // matching MPI_Reduce_scatter_block semantics.
-  std::vector<T> work(buf.begin(), buf.end());
-  for (int step = 0; step < size - 1; ++step) {
-    const int send_block = ((comm.rank() - step - 1) % size + size) % size;
-    const int recv_block = ((comm.rank() - step - 2) % size + size) % size;
-    comm.send<T>(right, tag,
-                 std::span<const T>(work.data() + send_block * block, block));
-    const std::vector<T> incoming = comm.recv<T>(left, tag);
-    SWHKM_REQUIRE(incoming.size() == block, "reduce_scatter block mismatch");
-    T* mine = work.data() + recv_block * block;
-    for (std::size_t i = 0; i < block; ++i) {
-      op(mine[i], incoming[i]);
-    }
-  }
-  return std::vector<T>(
-      work.begin() + static_cast<std::ptrdiff_t>(comm.rank() * block),
-      work.begin() + static_cast<std::ptrdiff_t>((comm.rank() + 1) * block));
-}
-
-/// Reduce-scatter with ragged ranges and *binomial* summation order.
-/// Element-wise, the combine association is exactly the root-0 binomial
-/// tree of reduce(), so the reduced values are bit-identical to a
-/// reduce-to-root followed by a scatter — unlike the ring reduce_scatter
-/// above, whose rank-sequential combine order changes FP bits. Rank r
-/// receives the sub-range [offsets[r], offsets[r+1]) of the reduction.
-/// `offsets` must be identical on every rank, ascending, with
-/// offsets.size() == size + 1 and covering buf exactly; empty ranges are
-/// allowed (k < ranks).
-///
-/// Power-of-two sizes run a recursive-halving exchange — processing the
-/// lowest rank bit first pairs (0,1),(2,3),… then (0,2),(1,3),…, which is
-/// the binomial tree's own pairing, so each rank moves O(buf/2) bytes and
-/// the combine work spreads over all ranks without changing a single
-/// association. Other sizes fall back to binomial reduce + scatter, which
-/// has the same association by construction.
-///
-/// This overload consumes `buf` as scratch (contents are destroyed) —
-/// callers holding a freshly packed payload avoid a full-buffer copy.
-template <typename T, typename Op>
-std::vector<T> reduce_scatter_ranges(Comm& comm, std::span<T> buf,
-                                     std::span<const std::size_t> offsets,
-                                     Op op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  detail::CollectiveScope scope(
-      comm, telemetry::CollectiveKind::kReduceScatterRanges,
-      buf.size_bytes());
-  const int size = comm.size();
-  const int rank = comm.rank();
-  SWHKM_REQUIRE(offsets.size() == static_cast<std::size_t>(size) + 1,
-                "reduce_scatter_ranges needs size+1 offsets");
-  SWHKM_REQUIRE(offsets.front() == 0 && offsets.back() == buf.size(),
-                "reduce_scatter_ranges offsets must cover the buffer");
-  if (size == 1) {
-    return std::vector<T>(buf.begin(), buf.end());
-  }
-  if (default_collective_schedule() == CollectiveSchedule::kHierarchical) {
-    return detail::hier_reduce_scatter_ranges(comm, buf, offsets, op,
-                                              default_hierarchy_spec());
-  }
-  const bool pow2 = (size & (size - 1)) == 0;
-  if (!pow2) {
-    // Binomial reduce to rank 0, then scatter the ranges. The combine
-    // association is the definition of what the halving path reproduces.
-    reduce(comm, 0, buf, op);
-    const int tag = comm.next_collective_tag();
-    if (rank == 0) {
-      for (int r = 1; r < size; ++r) {
-        comm.send<T>(r, tag,
-                     std::span<const T>(buf.data() + offsets[r],
-                                        offsets[r + 1] - offsets[r]));
-      }
-      return std::vector<T>(buf.begin() + static_cast<std::ptrdiff_t>(
-                                              offsets[0]),
-                            buf.begin() + static_cast<std::ptrdiff_t>(
-                                              offsets[1]));
-    }
-    std::vector<T> mine = comm.recv<T>(0, tag);
-    SWHKM_REQUIRE(mine.size() == offsets[rank + 1] - offsets[rank],
-                  "reduce_scatter_ranges scatter size mismatch");
-    return mine;
-  }
-  // Recursive halving, lowest bit first. Before the step for bit `s`, rank
-  // r holds, for every range b with (b & (s-1)) == (r & (s-1)), the fold
-  // of the 2^(steps done) ranks that share r's processed low bits — the
-  // binomial subtree partial. The step exchanges the halves whose bit s
-  // disagrees and combines with the lower subtree as the inout operand,
-  // exactly reduce()'s operand order.
-  const int tag = comm.next_collective_tag();
-  std::vector<T> pack;
-  for (int s = 1; s < size; s <<= 1) {
-    const int peer = rank ^ s;
-    pack.clear();
-    for (int b = 0; b < size; ++b) {
-      if ((b & (s - 1)) == (rank & (s - 1)) && (b & s) != (rank & s)) {
-        pack.insert(pack.end(), buf.begin() + static_cast<std::ptrdiff_t>(
-                                                  offsets[b]),
-                    buf.begin() + static_cast<std::ptrdiff_t>(
-                                      offsets[b + 1]));
-      }
-    }
-    comm.send<T>(peer, tag, std::span<const T>(pack.data(), pack.size()));
-    const std::vector<T> incoming = comm.recv<T>(peer, tag);
-    std::size_t at = 0;
-    for (int b = 0; b < size; ++b) {
-      if ((b & (s - 1)) != (rank & (s - 1)) || (b & s) != (rank & s)) {
-        continue;  // not a range this rank keeps after the step
-      }
-      T* mine = buf.data() + offsets[b];
-      const std::size_t len = offsets[b + 1] - offsets[b];
-      SWHKM_REQUIRE(at + len <= incoming.size(),
-                    "reduce_scatter_ranges block mismatch");
-      if ((rank & s) == 0) {
-        for (std::size_t i = 0; i < len; ++i) {
-          op(mine[i], incoming[at + i]);
-        }
-      } else {
-        // The peer's subtree is the lower one: it must be the inout
-        // operand so a non-commutative op still matches reduce().
-        for (std::size_t i = 0; i < len; ++i) {
-          T merged = incoming[at + i];
-          op(merged, mine[i]);
-          mine[i] = merged;
-        }
-      }
-      at += len;
-    }
-    SWHKM_REQUIRE(at == incoming.size(),
-                  "reduce_scatter_ranges payload mismatch");
-  }
-  return std::vector<T>(
-      buf.begin() + static_cast<std::ptrdiff_t>(offsets[rank]),
-      buf.begin() + static_cast<std::ptrdiff_t>(offsets[rank + 1]));
-}
-
-/// Non-destructive overload: copies `buf` into scratch and delegates.
-template <typename T, typename Op>
-std::vector<T> reduce_scatter_ranges(Comm& comm, std::span<const T> buf,
-                                     std::span<const std::size_t> offsets,
-                                     Op op) {
-  std::vector<T> work(buf.begin(), buf.end());
-  return reduce_scatter_ranges(comm, std::span<T>(work.data(), work.size()),
-                               offsets, op);
 }
 
 /// Variable-length allgather with caller-known lengths: every rank
@@ -1493,26 +1120,6 @@ std::vector<T> allgatherv(Comm& comm, std::span<const T> mine) {
   return allgatherv(comm, mine,
                     std::span<const std::size_t>(counts.data(),
                                                  counts.size()));
-}
-
-/// Inclusive prefix reduction: rank r receives op-fold of ranks 0..r's
-/// contributions, combined in rank order (deterministic).
-template <typename T, typename Op>
-T scan(Comm& comm, const T& mine, Op op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kScan,
-                                sizeof(T));
-  const int tag = comm.next_collective_tag();
-  T accumulated = mine;
-  if (comm.rank() > 0) {
-    const T from_left = comm.recv_value<T>(comm.rank() - 1, tag);
-    accumulated = from_left;
-    op(accumulated, mine);
-  }
-  if (comm.rank() + 1 < comm.size()) {
-    comm.send_value<T>(comm.rank() + 1, tag, accumulated);
-  }
-  return accumulated;
 }
 
 }  // namespace swhkm::swmpi

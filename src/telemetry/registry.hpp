@@ -118,16 +118,9 @@ enum class CollectiveKind : int {
   kReduce,
   kAllreduce,
   kAllgather,
-  kGather,
-  kScatter,
-  kAlltoall,
-  kSendrecv,
-  kReduceScatter,
-  kReduceScatterRanges,
   kAllgatherv,
-  kScan,
 };
-inline constexpr int kCollectiveKindCount = 13;
+inline constexpr int kCollectiveKindCount = 6;
 const char* collective_name(CollectiveKind kind);
 
 /// Per-kind ledger: entry count, payload bytes, wall latency distribution.

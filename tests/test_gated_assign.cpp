@@ -209,6 +209,13 @@ TEST(GatedAssign, Level3ChargesCompactedCollectiveVolumes) {
   // Iteration 0 sweeps everything, so its DMA matches the ungated engine
   // bit for bit; the collective payload is 8 bytes/sample wider (MinLoc2).
   EXPECT_EQ(gated.history[0].dma_bytes, ungated.history[0].dma_bytes);
+  // The model prices the ungated record at the 16-byte argmin even though
+  // the host combines ungated spans over MinLoc2 too: every one of the
+  // group's p ranks pays the 8-byte gap per sample to each of its p - 1
+  // peers, and the gated update publish adds the k-double drift per CG.
+  EXPECT_EQ(gated.history[0].net_bytes - ungated.history[0].net_bytes,
+            ds.n() * (sizeof(swmpi::MinLoc2) - 16) * (p - 1) * p +
+                machine.num_cgs() * config.k * sizeof(double));
 
   // And the simulated timeline agrees: across the run the gated engine
   // spends strictly less simulated time in the network phase.

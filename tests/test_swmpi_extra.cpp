@@ -17,173 +17,33 @@
 namespace swhkm::swmpi {
 namespace {
 
-class ExtraCollectiveTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ExtraCollectiveTest, GatherCollectsAtRoot) {
-  const int size = GetParam();
-  for (int root = 0; root < size; ++root) {
-    run_spmd(size, [&](Comm& comm) {
-      const std::vector<int> got = gather(comm, root, comm.rank() * 10);
-      if (comm.rank() == root) {
-        ASSERT_EQ(got.size(), static_cast<std::size_t>(size));
-        for (int r = 0; r < size; ++r) {
-          EXPECT_EQ(got[r], r * 10);
-        }
-      } else {
-        EXPECT_TRUE(got.empty());
-      }
-    });
-  }
-}
-
-TEST_P(ExtraCollectiveTest, ScatterDistributesFromRoot) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    std::vector<double> values;
-    if (comm.rank() == 0) {
-      for (int r = 0; r < size; ++r) {
-        values.push_back(r + 0.5);
-      }
-    }
-    const double mine = scatter(comm, 0, std::span<const double>(values));
-    EXPECT_DOUBLE_EQ(mine, comm.rank() + 0.5);
-  });
-}
-
-TEST_P(ExtraCollectiveTest, AlltoallTransposes) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    // Rank r sends r*100 + q to rank q; so it must receive q*100 + r.
-    std::vector<int> sendbuf(static_cast<std::size_t>(size));
-    for (int q = 0; q < size; ++q) {
-      sendbuf[static_cast<std::size_t>(q)] = comm.rank() * 100 + q;
-    }
-    const std::vector<int> got =
-        alltoall(comm, std::span<const int>(sendbuf));
-    for (int q = 0; q < size; ++q) {
-      EXPECT_EQ(got[static_cast<std::size_t>(q)], q * 100 + comm.rank());
-    }
-  });
-}
-
-TEST_P(ExtraCollectiveTest, ScanComputesPrefixSums) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    const int prefix = scan(comm, comm.rank() + 1, ops::Plus{});
-    EXPECT_EQ(prefix, (comm.rank() + 1) * (comm.rank() + 2) / 2);
-  });
-}
-
-TEST_P(ExtraCollectiveTest, ScanWithMaxIsRunningMax) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    // Contribution |r - 1|: running max is max(1, r-1... ) computed naively.
-    const int mine = std::abs(comm.rank() - 1);
-    const int prefix = scan(comm, mine, ops::Max{});
-    int expected = 0;
-    for (int r = 0; r <= comm.rank(); ++r) {
-      expected = std::max(expected, std::abs(r - 1));
-    }
-    EXPECT_EQ(prefix, expected);
-  });
-}
-
-
-TEST_P(ExtraCollectiveTest, SendrecvRingRotation) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    const int right = (comm.rank() + 1) % size;
-    const int left = (comm.rank() - 1 + size) % size;
-    const std::vector<int> payload{comm.rank() * 7};
-    const std::vector<int> got =
-        sendrecv(comm, right, std::span<const int>(payload), left);
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], left * 7);
-  });
-}
-
-TEST_P(ExtraCollectiveTest, ReduceScatterSumsBlocks) {
-  const int size = GetParam();
-  const std::size_t block = 3;
-  run_spmd(size, [&](Comm& comm) {
-    // Rank r contributes value (r+1) to every slot of every block.
-    std::vector<std::int64_t> buf(block * static_cast<std::size_t>(size),
-                                  comm.rank() + 1);
-    const std::vector<std::int64_t> mine = reduce_scatter(
-        comm, std::span<const std::int64_t>(buf), block, ops::Plus{});
-    ASSERT_EQ(mine.size(), block);
-    const std::int64_t expected = size * (size + 1) / 2;
-    for (std::int64_t v : mine) {
-      EXPECT_EQ(v, expected);
-    }
-  });
-}
-
-TEST_P(ExtraCollectiveTest, ReduceScatterDistinctBlocks) {
-  const int size = GetParam();
-  run_spmd(size, [&](Comm& comm) {
-    // Block b gets contribution (r+1)*(b+1) from rank r; the reduced
-    // block handed to rank r must be block r's total.
-    std::vector<std::int64_t> buf(static_cast<std::size_t>(size));
-    for (int b = 0; b < size; ++b) {
-      buf[static_cast<std::size_t>(b)] =
-          static_cast<std::int64_t>(comm.rank() + 1) * (b + 1);
-    }
-    const std::vector<std::int64_t> mine = reduce_scatter(
-        comm, std::span<const std::int64_t>(buf), 1, ops::Plus{});
-    const std::int64_t rank_sum = size * (size + 1) / 2;
-    EXPECT_EQ(mine[0], rank_sum * (comm.rank() + 1));
-  });
-}
-
-TEST(ExtraCollectives, ReduceScatterWrongSizeRejected) {
-  EXPECT_THROW(run_spmd(2,
-                        [](Comm& comm) {
-                          std::vector<int> buf(3);  // not 2 * block
-                          reduce_scatter(comm, std::span<const int>(buf), 2,
-                                         ops::Plus{});
-                        }),
-               swhkm::Error);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ExtraCollectiveTest,
-                         ::testing::Values(1, 2, 3, 5, 8));
-
-TEST(ExtraCollectives, ScatterWrongCountRejected) {
-  EXPECT_THROW(run_spmd(3,
-                        [](Comm& comm) {
-                          std::vector<int> values(2);  // need 3 at root
-                          if (comm.rank() == 0) {
-                            scatter(comm, 0, std::span<const int>(values));
-                          } else {
-                            scatter(comm, 0, std::span<const int>());
-                          }
-                        }),
-               swhkm::Error);
-}
-
-TEST(ExtraCollectives, AlltoallWrongCountRejected) {
-  EXPECT_THROW(run_spmd(2,
-                        [](Comm& comm) {
-                          std::vector<int> sendbuf(5);
-                          alltoall(comm, std::span<const int>(sendbuf));
-                        }),
-               swhkm::Error);
-}
-
 TEST(ExtraCollectives, MixedSequenceStaysInSync) {
-  // Interleave old and new collectives; tag sequencing must hold up.
+  // Interleave every collective kind the engines use, with a split-phase
+  // allreduce in flight across the blocking ones; tag sequencing must keep
+  // each collective's messages apart.
   run_spmd(4, [](Comm& comm) {
     for (int round = 0; round < 5; ++round) {
-      const int prefix = scan(comm, 1, ops::Plus{});
-      EXPECT_EQ(prefix, comm.rank() + 1);
-      std::vector<int> buf{prefix};
+      std::vector<double> split_buf{1.0 + comm.rank()};
+      SplitAllreduce<double, ops::Plus> split;
+      split.start(comm, std::span<double>(split_buf), ops::Plus{});
+      std::vector<int> buf{comm.rank() + 1};
       allreduce_sum(comm, std::span<int>(buf));
       EXPECT_EQ(buf[0], 1 + 2 + 3 + 4);
-      const std::vector<int> all = gather(comm, round % 4, buf[0]);
-      if (comm.rank() == round % 4) {
-        EXPECT_EQ(all.size(), 4u);
+      const std::vector<int> all = allgather(comm, comm.rank() * 10 + round);
+      ASSERT_EQ(all.size(), 4u);
+      for (int r = 0; r < 4; ++r) {
+        EXPECT_EQ(all[static_cast<std::size_t>(r)], r * 10 + round);
       }
+      const std::vector<int> mine(static_cast<std::size_t>(comm.rank()),
+                                  comm.rank());
+      const std::vector<int> cat =
+          allgatherv(comm, std::span<const int>(mine.data(), mine.size()));
+      EXPECT_EQ(cat, (std::vector<int>{1, 2, 2, 3, 3, 3}));
+      int root_value = comm.rank() == round % 4 ? 100 + round : -1;
+      bcast(comm, round % 4, std::span<int>(&root_value, 1));
+      EXPECT_EQ(root_value, 100 + round);
+      split.finish();
+      EXPECT_EQ(split_buf[0], 1.0 + 2.0 + 3.0 + 4.0);
       barrier(comm);
     }
   });
@@ -599,31 +459,6 @@ TEST_P(HierScheduleTest, Minloc2MatchesFlat) {
         return to_bytes(buf);
       },
       "minloc2");
-}
-
-TEST_P(HierScheduleTest, ReduceScatterRangesMatchesFlat) {
-  // 23 elements: ragged block ranges over every world here, empty ranges
-  // once the world outgrows the payload.
-  expect_hier_matches_flat(
-      [](Comm& comm) {
-        const std::size_t total = 23;
-        std::vector<double> buf(total);
-        for (std::size_t i = 0; i < total; ++i) {
-          buf[i] = hier_spread(comm.rank(), i);
-        }
-        std::vector<std::size_t> offsets(
-            static_cast<std::size_t>(comm.size()) + 1);
-        for (int r = 0; r <= comm.size(); ++r) {
-          offsets[static_cast<std::size_t>(r)] =
-              static_cast<std::size_t>(r) * total /
-              static_cast<std::size_t>(comm.size());
-        }
-        return to_bytes(reduce_scatter_ranges(
-            comm, std::span<const double>(buf.data(), buf.size()),
-            std::span<const std::size_t>(offsets.data(), offsets.size()),
-            ops::Plus{}));
-      },
-      "reduce_scatter_ranges");
 }
 
 TEST_P(HierScheduleTest, AllgathervMatchesFlat) {
