@@ -1,13 +1,14 @@
 /// Microbenchmarks (google-benchmark) for the hot kernels of the
-/// functional engines: the distance scan, the GEMM assign tile, the safe
-/// radii, dimension-sliced partials,
-/// accumulator updates, the thread-backed collectives, and dataset
-/// generation throughput. These measure *host* wall-clock (the engines'
+/// functional engines: the distance scan, the GEMM assign tile and its dot
+/// microkernel per dispatch variant, the safe radii, dimension-sliced
+/// partials, accumulator updates, the thread-backed collectives, and
+/// dataset generation throughput. These measure *host* wall-clock (the engines'
 /// real cost when used as a library), not simulated Sunway time.
 
 #include <benchmark/benchmark.h>
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/engine_util.hpp"
@@ -82,6 +83,54 @@ void BM_GemmTile(benchmark::State& state) {
       kAssignTileFlops, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_GemmTile)->Arg(0)->Arg(1);
+
+/// The dot microkernel alone at the l3 panel shape (256 samples x 512
+/// centroids x d = 256), one registration per dispatch variant the host
+/// runs: the tile packed once, every 16-centroid panel prebuilt, then
+/// every row block against every panel. All variants return the same bits.
+void BM_GemmDotRows(benchmark::State& state,
+                    const core::detail::DotKernel* kernel) {
+  using core::detail::kCentroidRowBlock;
+  const AssignTile tile;
+  const std::size_t d = AssignTile::kD;
+  const std::size_t rows = kernel->rows;
+  const std::size_t row_blocks = (AssignTile::kSamples + rows - 1) / rows;
+  std::vector<double> xpack(row_blocks * rows * d, 0.0);
+  core::detail::pack_tile_rows(
+      tile.samples, [](std::size_t t) { return t; }, AssignTile::kSamples,
+      rows, xpack.data());
+  std::vector<double> panels(AssignTile::kK * d);
+  for (std::size_t j = 0; j < AssignTile::kK; ++j) {
+    const std::size_t jb = j / kCentroidRowBlock;
+    for (std::size_t u = 0; u < d; ++u) {
+      panels[(jb * d + u) * kCentroidRowBlock + j % kCentroidRowBlock] =
+          static_cast<double>(tile.centroids.at(j, u));
+    }
+  }
+  std::vector<double> dots(rows * kCentroidRowBlock);
+  for (auto _ : state) {
+    for (std::size_t jb = 0; jb < AssignTile::kK / kCentroidRowBlock; ++jb) {
+      for (std::size_t b = 0; b < row_blocks; ++b) {
+        kernel->fn(xpack.data() + b * rows * d,
+                   panels.data() + jb * d * kCentroidRowBlock, d,
+                   dots.data());
+        benchmark::DoNotOptimize(dots.data());
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["flops"] = benchmark::Counter(
+      kAssignTileFlops, benchmark::Counter::kIsIterationInvariantRate);
+}
+const bool kGemmDotRowsRegistered = [] {
+  for (const core::detail::DotKernel& kernel :
+       core::detail::dot_kernel_variants()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_GemmDotRows/") + kernel.name).c_str(),
+        BM_GemmDotRows, &kernel);
+  }
+  return true;
+}();
 
 /// Hamerly safe radii at k = 512, d = 256: k(k-1)/2 centroid pairs through
 /// the blocked panel sweep.

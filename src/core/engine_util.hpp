@@ -10,6 +10,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 #include "data/dataset.hpp"
 #include "util/log.hpp"
 #include "util/matrix.hpp"
@@ -157,10 +161,12 @@ inline void sample_block_chains_generic(const float* __restrict__ x,
 #if defined(__x86_64__) && defined(__GNUC__)
 #define SWHKM_KERNEL_DISPATCH 1
 /// AVX2 build of the same source. 4-wide doubles are the same IEEE
-/// operations as scalar, and the avx2 target has no FMA instructions, so
-/// the compiler cannot contract diff*diff into acc (which would change
-/// rounding) — results stay bit-identical to the generic build. Targets
-/// with FMA (avx512f etc.) are deliberately NOT used for this reason.
+/// operations as scalar, so results stay bit-identical to the generic
+/// build. The rule that keeps them so: implicit arithmetic is never
+/// contracted into FMA (swhkm and everything linking it compile with
+/// -ffp-contract=off), because fusing diff*diff into acc skips the
+/// rounding of a product that is *not* exact in double. Explicit FMA is
+/// used only where the product is exact (dot_rows_* below).
 __attribute__((target("avx2"))) inline void sample_block_chains_avx2(
     const float* __restrict__ x, const double* __restrict__ panel,
     std::size_t d, double* __restrict__ acc) {
@@ -276,11 +282,12 @@ inline void score_tile_ids(const data::Dataset& dataset,
 //
 // ||x - c||^2 = ||x||^2 + ||c||^2 - 2 x.c recast over the same u-major
 // centroid panel as the multi-chain kernel, but accumulating dot products
-// (one mul+add per element instead of sub+mul+add) with the centroid norms
-// cached across tiles. The GEMM value g_j is *only a candidate selector*:
-// each row's exact top-two record is formed by rescoring a tau-bounded
-// candidate set with squared_distance, so the records — including every
-// tie-break — are byte-identical to the serial left-to-right scan.
+// (one exact-product FMA per element instead of sub+mul+add, R samples per
+// pass over the panel) with the centroid norms cached across tiles. The
+// GEMM value g_j is *only a candidate selector*: each row's exact top-two
+// record is formed by rescoring a tau-bounded candidate set with
+// squared_distance, so the records — including every tie-break — are
+// byte-identical to the serial left-to-right scan.
 // ---------------------------------------------------------------------------
 
 /// Per-row candidate capacity of the GEMM selector. A full list is first
@@ -355,50 +362,158 @@ struct CentroidNormCache {
   void invalidate() { valid = false; }
 };
 
-/// One sample against one u-major centroid panel, dot-product form:
-/// kCentroidRowBlock independent chains of acc[jj] += x[u] * c[u]. Float
-/// products are exact in double; only the summation rounds.
-inline void dot_block_chains_generic(const float* __restrict__ x,
-                                     const double* __restrict__ panel,
-                                     std::size_t d,
-                                     double* __restrict__ acc) {
+// ---------------------------------------------------------------------------
+// Register-blocked dot microkernel
+//
+// One call computes R samples x kCentroidRowBlock centroids of dot
+// products: dots[r * 16 + jj] = sum_u xb[u * R + r] * panel[u * 16 + jj],
+// summed in ascending u from +0.0. `xb` is one row block of the tile,
+// packed u-major in double (pack_tile_rows); `panel` is one centroid block,
+// u-major and padded to 16 lanes. Every operand is a float widened to
+// double, and a product of two floats (24-bit significands) is exact in
+// double's 53 bits, so fma(x, c, acc) and acc + x*c round once, at the
+// same point: every variant — FMA or not, any R — returns the same bits
+// as the generic build, dot for dot. The R x 16 accumulators are
+// independent chains, which is what hides the FMA latency.
+// ---------------------------------------------------------------------------
+
+/// One dispatch variant of the dot microkernel.
+struct DotKernel {
+  const char* name;
+  std::size_t rows;  ///< R: samples per call (the packed row block height)
+  void (*fn)(const double* __restrict__ xb, const double* __restrict__ panel,
+             std::size_t d, double* __restrict__ dots);
+};
+
+/// Portable build: plain mul + add (never contracted, see
+/// sample_block_chains_avx2), the reference the dispatched variants match.
+inline void dot_rows_generic(const double* __restrict__ xb,
+                             const double* __restrict__ panel, std::size_t d,
+                             double* __restrict__ dots) {
+  constexpr std::size_t kR = 2;
+  double acc[kR][kCentroidRowBlock] = {};
   for (std::size_t u = 0; u < d; ++u) {
-    const double xu = static_cast<double>(x[u]);
     const double* row = panel + u * kCentroidRowBlock;
-    for (std::size_t jj = 0; jj < kCentroidRowBlock; ++jj) {
-      acc[jj] += xu * row[jj];
+    for (std::size_t r = 0; r < kR; ++r) {
+      const double xr = xb[u * kR + r];
+      for (std::size_t jj = 0; jj < kCentroidRowBlock; ++jj) {
+        acc[r][jj] += xr * row[jj];
+      }
     }
   }
+  std::copy(&acc[0][0], &acc[0][0] + kR * kCentroidRowBlock, dots);
 }
 
 #if defined(SWHKM_KERNEL_DISPATCH)
-/// AVX2 build of the dot chains. The GEMM value is only a candidate
-/// selector (exactness comes from the rescore), but the avx2-without-FMA
-/// convention of sample_block_chains is kept anyway so both dispatch
-/// targets produce identical selector values — one fewer degree of
-/// freedom when debugging a divergence.
-__attribute__((target("avx2"))) inline void dot_block_chains_avx2(
-    const float* __restrict__ x, const double* __restrict__ panel,
-    std::size_t d, double* __restrict__ acc) {
+/// AVX2 + FMA: 3 samples x 4 ymm of centroids = 12 accumulators; with the
+/// broadcast and the folded panel loads they fit the 16 ymm registers.
+/// Named accumulators, not an array: GCC keeps a __m256d array mirrored in
+/// memory here and stores it every step.
+__attribute__((target("avx2,fma"))) inline void dot_rows_avx2(
+    const double* __restrict__ xb, const double* __restrict__ panel,
+    std::size_t d, double* __restrict__ dots) {
+  constexpr std::size_t kR = 3;
+  __m256d a00 = _mm256_setzero_pd(), a01 = a00, a02 = a00, a03 = a00;
+  __m256d a10 = a00, a11 = a00, a12 = a00, a13 = a00;
+  __m256d a20 = a00, a21 = a00, a22 = a00, a23 = a00;
   for (std::size_t u = 0; u < d; ++u) {
-    const double xu = static_cast<double>(x[u]);
     const double* row = panel + u * kCentroidRowBlock;
-    for (std::size_t jj = 0; jj < kCentroidRowBlock; ++jj) {
-      acc[jj] += xu * row[jj];
+    const __m256d c0 = _mm256_loadu_pd(row);
+    const __m256d c1 = _mm256_loadu_pd(row + 4);
+    const __m256d c2 = _mm256_loadu_pd(row + 8);
+    const __m256d c3 = _mm256_loadu_pd(row + 12);
+    const __m256d x0 = _mm256_broadcast_sd(xb + u * kR);
+    a00 = _mm256_fmadd_pd(x0, c0, a00);
+    a01 = _mm256_fmadd_pd(x0, c1, a01);
+    a02 = _mm256_fmadd_pd(x0, c2, a02);
+    a03 = _mm256_fmadd_pd(x0, c3, a03);
+    const __m256d x1 = _mm256_broadcast_sd(xb + u * kR + 1);
+    a10 = _mm256_fmadd_pd(x1, c0, a10);
+    a11 = _mm256_fmadd_pd(x1, c1, a11);
+    a12 = _mm256_fmadd_pd(x1, c2, a12);
+    a13 = _mm256_fmadd_pd(x1, c3, a13);
+    const __m256d x2 = _mm256_broadcast_sd(xb + u * kR + 2);
+    a20 = _mm256_fmadd_pd(x2, c0, a20);
+    a21 = _mm256_fmadd_pd(x2, c1, a21);
+    a22 = _mm256_fmadd_pd(x2, c2, a22);
+    a23 = _mm256_fmadd_pd(x2, c3, a23);
+  }
+  const __m256d out[kR][4] = {
+      {a00, a01, a02, a03}, {a10, a11, a12, a13}, {a20, a21, a22, a23}};
+  for (std::size_t r = 0; r < kR; ++r) {
+    for (std::size_t q = 0; q < 4; ++q) {
+      _mm256_storeu_pd(dots + r * kCentroidRowBlock + q * 4, out[r][q]);
     }
   }
 }
 
-inline SampleBlockFn resolve_dot_block_chains() {
-  if (__builtin_cpu_supports("avx2")) {
-    return &dot_block_chains_avx2;
+/// AVX-512F: 8 samples x 2 zmm of centroids = 16 accumulators of 32 zmm.
+__attribute__((target("avx512f"))) inline void dot_rows_avx512(
+    const double* __restrict__ xb, const double* __restrict__ panel,
+    std::size_t d, double* __restrict__ dots) {
+  constexpr std::size_t kR = 8;
+  __m512d acc[kR][2];
+  for (std::size_t r = 0; r < kR; ++r) {
+    acc[r][0] = _mm512_setzero_pd();
+    acc[r][1] = _mm512_setzero_pd();
   }
-  return &dot_block_chains_generic;
+  for (std::size_t u = 0; u < d; ++u) {
+    const double* row = panel + u * kCentroidRowBlock;
+    const __m512d c0 = _mm512_loadu_pd(row);
+    const __m512d c1 = _mm512_loadu_pd(row + 8);
+    for (std::size_t r = 0; r < kR; ++r) {
+      const __m512d xr = _mm512_set1_pd(xb[u * kR + r]);
+      acc[r][0] = _mm512_fmadd_pd(xr, c0, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_pd(xr, c1, acc[r][1]);
+    }
+  }
+  for (std::size_t r = 0; r < kR; ++r) {
+    _mm512_storeu_pd(dots + r * kCentroidRowBlock, acc[r][0]);
+    _mm512_storeu_pd(dots + r * kCentroidRowBlock + 8, acc[r][1]);
+  }
 }
-inline const SampleBlockFn dot_block_chains = resolve_dot_block_chains();
-#else
-inline constexpr auto dot_block_chains = &dot_block_chains_generic;
 #endif
+
+/// The variants this host can run, generic first and fastest last.
+inline const std::vector<DotKernel>& dot_kernel_variants() {
+  static const std::vector<DotKernel> variants = [] {
+    std::vector<DotKernel> v{{"generic", 2, &dot_rows_generic}};
+#if defined(SWHKM_KERNEL_DISPATCH)
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+      v.push_back({"avx2", 3, &dot_rows_avx2});
+    }
+    if (__builtin_cpu_supports("avx512f")) {
+      v.push_back({"avx512", 8, &dot_rows_avx512});
+    }
+#endif
+    return v;
+  }();
+  return variants;
+}
+
+/// The variant the GEMM sweep runs: resolved once per process.
+inline const DotKernel& dot_kernel() {
+  static const DotKernel& best = dot_kernel_variants().back();
+  return best;
+}
+
+/// Pack `count` samples u-major in double, R rows per block: sample t lands
+/// at xp[(t / R) * R * d + u * R + t % R]. The last block's missing rows
+/// stay zero (caller-zeroed), so the microkernel always runs whole blocks;
+/// their dots are simply not read.
+template <typename SampleIndexFn>
+inline void pack_tile_rows(const data::Dataset& dataset,
+                           SampleIndexFn sample_index, std::size_t count,
+                           std::size_t rows, double* xp) {
+  const std::size_t d = dataset.d();
+  for (std::size_t t = 0; t < count; ++t) {
+    const auto x = dataset.sample(sample_index(t));
+    double* dst = xp + (t / rows) * rows * d + t % rows;
+    for (std::size_t u = 0; u < d; ++u) {
+      dst[u * rows] = static_cast<double>(x[u]);
+    }
+  }
+}
 
 /// ABFT instrumentation of the GEMM tile sweep (KmeansConfig::sdc_checks).
 ///
@@ -412,9 +527,9 @@ inline constexpr auto dot_block_chains = &dot_block_chains_generic;
 /// the summation-error tolerance below. A mismatch means the panel no
 /// longer holds the centroid bits it was built from: the panel is rebuilt
 /// from the (authoritative, separately-scrubbed) centroid matrix and the
-/// sample's dots recomputed through the *same* kernel — detector plus
+/// sample's row block recomputed through the *same* kernel — detector plus
 /// bit-identical corrector, so a caught flip changes no result bytes, only
-/// the `detected`/`recomputed` tallies.
+/// the `detected`/`recomputed` tallies (one each per damaged panel).
 struct GemmSdcHooks {
   std::function<void(std::span<std::byte>)> flip;
   bool check = false;
@@ -454,7 +569,9 @@ inline std::uint32_t compact_candidates(GemmCandidate* list, std::uint32_t n,
 /// Returns the number of rows that overflowed the candidate list and took
 /// the exact full-slice fallback.
 ///
-/// Pass 1 (selector): per sample, stream the u-major dot panels and form
+/// Pass 1 (selector): the tile is packed once (pack_tile_rows, R rows per
+/// block for the dispatched DotKernel); per centroid block, each row block
+/// gets its R x 16 dots from one microkernel call, and each row forms
 /// g_j = ||x||^2 + ||c_j||^2 - 2 x.c_j with error radius tau_j. A running
 /// top-two of the uppers (g + tau) gives U2; any j with lower bound
 /// g_j - tau_j <= U2 is appended, with that bound, to the row's candidate
@@ -462,15 +579,17 @@ inline std::uint32_t compact_candidates(GemmCandidate* list, std::uint32_t n,
 /// against the current U2 (compact_candidates). U2 only tightens, so the
 /// list stays a superset of every j whose exact distance can reach the
 /// final top-two; it overflows only when more than kGemmCandidates
-/// centroids are genuinely tied within tau.
+/// centroids are genuinely tied within tau. Every DotKernel variant returns
+/// the same dot bits, so the lists and the fallback count do not depend on
+/// the dispatch either.
 ///
 /// Pass 2 (exact rescore): each row's candidates still within the final U2
 /// are offered to its record via squared_distance in ascending j — the
 /// serial operation sequence and tie-break. Omitted centroids satisfy
 /// d_j > U2_final >= (exact second smallest), so they cannot change value,
 /// index or second; the record is therefore byte-identical to a full
-/// serial scan, independently of which dot kernel the dispatcher picked.
-/// An overflowed row falls back to an exact sweep of the whole slice.
+/// serial scan. An overflowed row falls back to an exact sweep of the
+/// whole slice.
 template <typename MinLocT, typename SampleIndexFn>
 inline std::size_t score_tile_gemm_gen(const data::Dataset& dataset,
                                        SampleIndexFn sample_index,
@@ -479,12 +598,19 @@ inline std::size_t score_tile_gemm_gen(const data::Dataset& dataset,
                                        std::span<const double> norms,
                                        std::size_t j_begin, std::size_t j_end,
                                        std::span<MinLocT> scores,
-                                       GemmSdcHooks* sdc = nullptr) {
+                                       GemmSdcHooks* sdc = nullptr,
+                                       const DotKernel& kernel = dot_kernel()) {
   const std::size_t d = centroids.cols();
   const double tau_scale = gemm_tau_scale(d);
   constexpr std::uint32_t kOverflow = kGemmCandidates + 1;
-  std::vector<double> panel(kCentroidRowBlock * d);
-  std::vector<double> nx(count);
+  constexpr std::size_t kLanes = kCentroidRowBlock;
+  const std::size_t rows = kernel.rows;
+  const std::size_t row_blocks = (count + rows - 1) / rows;
+  std::vector<double> xpack(row_blocks * rows * d, 0.0);
+  pack_tile_rows(dataset, sample_index, count, rows, xpack.data());
+  std::vector<double> panel(kLanes * d);
+  std::vector<double> dots(rows * kLanes);
+  std::vector<double> nx(row_blocks * rows, 0.0);
   std::vector<double> u1(count, std::numeric_limits<double>::max());
   std::vector<double> u2(count, std::numeric_limits<double>::max());
   std::vector<GemmCandidate> cand(count * kGemmCandidates);
@@ -494,15 +620,38 @@ inline std::size_t score_tile_gemm_gen(const data::Dataset& dataset,
   // flip hook can damage it.
   std::vector<double> chk;
   std::vector<double> chkabs;
-  for (std::size_t t = 0; t < count; ++t) {
-    nx[t] = row_squared_norm(dataset.sample(sample_index(t)));
+  // ||x||^2 off the packed tile: R independent ascending-u chains of exact
+  // squares per block, each the operation sequence of row_squared_norm.
+  for (std::size_t b = 0; b < row_blocks; ++b) {
+    const double* const xb = xpack.data() + b * rows * d;
+    double* const nb = nx.data() + b * rows;
+    for (std::size_t u = 0; u < d; ++u) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        nb[r] += xb[u * rows + r] * xb[u * rows + r];
+      }
+    }
   }
-  for (std::size_t jb = j_begin; jb < j_end; jb += kCentroidRowBlock) {
-    const std::size_t bw = std::min(j_end - jb, kCentroidRowBlock);
+  for (std::size_t jb = j_begin; jb < j_end; jb += kLanes) {
+    const std::size_t bw = std::min(j_end - jb, kLanes);
+    // The panel is built dense (u * bw + jj) — the layout the checksums
+    // and the flip hook see — then widened in place to the kernel's 16
+    // lanes with zero padding. Descending order never overwrites an entry
+    // before it is read: u * kLanes + jj >= u * bw + jj.
     const auto build_panel = [&] {
-      for (std::size_t u = 0; u < d; ++u) {
-        for (std::size_t jj = 0; jj < bw; ++jj) {
-          panel[u * bw + jj] = static_cast<double>(centroids.at(jb + jj, u));
+      for (std::size_t jj = 0; jj < bw; ++jj) {
+        const float* const c = centroids.row(jb + jj).data();
+        for (std::size_t u = 0; u < d; ++u) {
+          panel[u * bw + jj] = static_cast<double>(c[u]);
+        }
+      }
+    };
+    const auto widen_panel = [&] {
+      if (bw == kLanes) {
+        return;
+      }
+      for (std::size_t u = d; u-- > 0;) {
+        for (std::size_t jj = kLanes; jj-- > 0;) {
+          panel[u * kLanes + jj] = jj < bw ? panel[u * bw + jj] : 0.0;
         }
       }
     };
@@ -525,81 +674,92 @@ inline std::size_t score_tile_gemm_gen(const data::Dataset& dataset,
       sdc->flip(std::as_writable_bytes(
           std::span<double>(panel.data(), bw * d)));
     }
-    for (std::size_t t = 0; t < count; ++t) {
-      const auto x = dataset.sample(sample_index(t));
-      double dots[kCentroidRowBlock] = {};
-      const auto sweep_dots = [&] {
-        if (bw == kCentroidRowBlock) {
-          dot_block_chains(x.data(), panel.data(), d, dots);
-        } else {
-          for (std::size_t u = 0; u < d; ++u) {
-            const double xu = static_cast<double>(x[u]);
-            const double* row = panel.data() + u * bw;
-            for (std::size_t jj = 0; jj < bw; ++jj) {
-              dots[jj] += xu * row[jj];
-            }
-          }
-        }
-      };
-      sweep_dots();
+    widen_panel();
+    for (std::size_t b = 0; b < row_blocks; ++b) {
+      const double* const xb = xpack.data() + b * rows * d;
+      const std::size_t t0 = b * rows;
+      const std::size_t live = std::min(rows, count - t0);
+      kernel.fn(xb, panel.data(), d, dots.data());
       if (sdc != nullptr && sdc->check) {
         // sum_jj dots[jj] and x . chk are two summation orders of the same
         // real bilinear form sum_{u,jj} x[u] * panel[u*bw+jj]; their spread
         // is bounded by (d + bw) roundings against the absolute-value
         // magnitude, with a 64x margin. A violation means the panel's bits
-        // are not the centroid bits the checksum saw — rebuild and rescore
-        // this sample through the identical kernel (bit-identical repair;
-        // samples after this one see the clean panel too).
-        double got = 0;
-        for (std::size_t jj = 0; jj < bw; ++jj) {
-          got += dots[jj];
-        }
-        double ref = 0;
-        double mag = 0;
-        for (std::size_t u = 0; u < d; ++u) {
-          const double xu = static_cast<double>(x[u]);
-          ref += xu * chk[u];
-          mag += std::abs(xu) * chkabs[u];
-        }
-        const double tol = 64.0 * static_cast<double>(d + bw) *
-                           std::numeric_limits<double>::epsilon() * mag;
-        if (!(std::abs(got - ref) <= tol)) {
-          ++sdc->detected;
-          build_panel();
-          capture_checksums();
-          std::fill(dots, dots + kCentroidRowBlock, 0.0);
-          sweep_dots();
-          ++sdc->recomputed;
+        // are not the centroid bits the checksum saw — rebuild it and
+        // recompute the block through the identical kernel (bit-identical
+        // repair; later blocks see the clean panel too).
+        for (std::size_t r = 0; r < live; ++r) {
+          double got = 0;
+          for (std::size_t jj = 0; jj < bw; ++jj) {
+            got += dots[r * kLanes + jj];
+          }
+          double ref = 0;
+          double mag = 0;
+          for (std::size_t u = 0; u < d; ++u) {
+            const double xu = xb[u * rows + r];
+            ref += xu * chk[u];
+            mag += std::abs(xu) * chkabs[u];
+          }
+          const double tol = 64.0 * static_cast<double>(d + bw) *
+                             std::numeric_limits<double>::epsilon() * mag;
+          if (!(std::abs(got - ref) <= tol)) {
+            ++sdc->detected;
+            build_panel();
+            widen_panel();
+            kernel.fn(xb, panel.data(), d, dots.data());
+            ++sdc->recomputed;
+            break;
+          }
         }
       }
-      std::uint32_t& n = cand_n[t];
-      GemmCandidate* const list = cand.data() + t * kGemmCandidates;
-      for (std::size_t jj = 0; jj < bw; ++jj) {
-        const std::size_t j = jb + jj;
-        const double scale = nx[t] + norms[j];
-        const double g = scale - 2.0 * dots[jj];
-        const double tau = tau_scale * scale;
-        const double up = g + tau;
-        if (up < u1[t]) {
-          u2[t] = u1[t];
-          u1[t] = up;
-        } else if (up < u2[t]) {
-          u2[t] = up;
-        }
-        // A MinLoc record only needs the exact winner, so U1 suffices; the
-        // top-two records screen against U2.
-        const double bar = HasSecond<MinLocT> ? u2[t] : u1[t];
-        const double lower = g - tau;
-        if (lower <= bar) {
-          if (n == kGemmCandidates) {
-            n = compact_candidates(list, n, bar);
+      for (std::size_t r = 0; r < live; ++r) {
+        // The row's selector state lives in locals for the block: the
+        // candidate stores would otherwise force a reload of every field
+        // (GemmCandidate holds a double and a uint32).
+        const std::size_t t = t0 + r;
+        const double* const row_dots = dots.data() + r * kLanes;
+        const double nxt = nx[t];
+        double b1 = u1[t];
+        double b2 = u2[t];
+        std::uint32_t n = cand_n[t];
+        GemmCandidate* const list = cand.data() + t * kGemmCandidates;
+        for (std::size_t jj = 0; jj < bw; ++jj) {
+          const std::size_t j = jb + jj;
+          const double scale = nxt + norms[j];
+          const double g = scale - 2.0 * row_dots[jj];
+          const double tau = tau_scale * scale;
+          const double up = g + tau;
+          const double lower = g - tau;
+          // The common case first, as a branch: an upper that does not
+          // beat U2 moves neither U1 nor U2, and a lower above the
+          // unmoved bar is not admitted, so nothing changes. Testing it
+          // up front keeps U2 off a min() dependency chain.
+          if (!(up < b2) && !(lower <= (HasSecond<MinLocT> ? b2 : b1))) {
+            continue;
           }
-          if (n < kGemmCandidates) {
-            list[n++] = {lower, static_cast<std::uint32_t>(j)};
-          } else {
-            n = kOverflow;  // sticky: this row takes the exact fallback
+          if (up < b1) {
+            b2 = b1;
+            b1 = up;
+          } else if (up < b2) {
+            b2 = up;
+          }
+          // A MinLoc record only needs the exact winner, so U1 suffices;
+          // the top-two records screen against U2.
+          const double bar = HasSecond<MinLocT> ? b2 : b1;
+          if (lower <= bar) {
+            if (n == kGemmCandidates) {
+              n = compact_candidates(list, n, bar);
+            }
+            if (n < kGemmCandidates) {
+              list[n++] = {lower, static_cast<std::uint32_t>(j)};
+            } else {
+              n = kOverflow;  // sticky: this row takes the exact fallback
+            }
           }
         }
+        u1[t] = b1;
+        u2[t] = b2;
+        cand_n[t] = n;
       }
     }
   }
@@ -628,7 +788,8 @@ inline std::size_t score_tile_gemm_gen(const data::Dataset& dataset,
 }
 
 /// Contiguous-range GEMM entry point (mirrors score_tile); returns the
-/// fallback row count.
+/// fallback row count. `kernel` defaults to the dispatched variant; tests
+/// and the microbenchmark pin one.
 template <typename MinLocT>
 inline std::size_t score_tile_gemm(const data::Dataset& dataset,
                                    std::size_t i_begin, std::size_t i_end,
@@ -636,10 +797,11 @@ inline std::size_t score_tile_gemm(const data::Dataset& dataset,
                                    std::span<const double> norms,
                                    std::size_t j_begin, std::size_t j_end,
                                    std::span<MinLocT> scores,
-                                   GemmSdcHooks* sdc = nullptr) {
+                                   GemmSdcHooks* sdc = nullptr,
+                                   const DotKernel& kernel = dot_kernel()) {
   return score_tile_gemm_gen(
       dataset, [i_begin](std::size_t t) { return i_begin + t; },
-      i_end - i_begin, centroids, norms, j_begin, j_end, scores, sdc);
+      i_end - i_begin, centroids, norms, j_begin, j_end, scores, sdc, kernel);
 }
 
 /// Compacted GEMM entry point (mirrors score_tile_ids); returns the

@@ -1,9 +1,33 @@
 #include "data/dataset.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
+#include "util/error.hpp"
+
 namespace swhkm::data {
+
+Dataset::Dataset(std::string name, util::Matrix samples)
+    : name_(std::move(name)), samples_(std::move(samples)) {
+  for (std::size_t i = 0; i < n(); ++i) {
+    const std::span<const float> row = samples_.row(i);
+    bool finite = true;
+    for (const float v : row) {
+      finite &= std::isfinite(v);
+    }
+    if (finite) {
+      continue;
+    }
+    const auto bad = std::find_if(
+        row.begin(), row.end(), [](float v) { return !std::isfinite(v); });
+    throw InvalidArgument(
+        "dataset '" + name_ + "': sample " + std::to_string(i) +
+        ", dimension " + std::to_string(bad - row.begin()) + " is " +
+        (std::isnan(*bad) ? "NaN" : "infinite") +
+        "; k-means needs finite coordinates");
+  }
+}
 
 std::vector<double> Dataset::dimension_means() const {
   std::vector<double> means(d(), 0.0);

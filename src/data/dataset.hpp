@@ -27,8 +27,10 @@ struct DatasetInfo {
 class Dataset {
  public:
   Dataset() = default;
-  Dataset(std::string name, util::Matrix samples)
-      : name_(std::move(name)), samples_(std::move(samples)) {}
+  /// Throws InvalidArgument naming the first sample and dimension that is
+  /// NaN or infinite: every kernel assumes finite coordinates (a NaN
+  /// distance loses every comparison, so no centroid is ever chosen).
+  Dataset(std::string name, util::Matrix samples);
 
   const std::string& name() const { return name_; }
   std::size_t n() const { return samples_.rows(); }

@@ -3,6 +3,9 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "data/io.hpp"
@@ -36,6 +39,36 @@ TEST(Dataset, BoundingBox) {
   const auto [lo, hi] = ds.bounding_box();
   EXPECT_EQ(lo[0], -1.0f);
   EXPECT_EQ(hi[0], 5.0f);
+}
+
+TEST(Dataset, RejectsNonFiniteSamplesNamingTheEntry) {
+  // One NaN or infinity used to reach the kernels, where a NaN distance
+  // loses every comparison and the argmin names no centroid (lloyd_serial
+  // crashed in the update). The constructor is the single gate every
+  // loader and generator passes through.
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (const float v : bad) {
+    std::vector<float> xs(4 * 3, 1.0f);
+    xs[2 * 3 + 1] = v;
+    try {
+      Dataset ds("x", util::Matrix::from_vector(4, 3, std::move(xs)));
+      ADD_FAILURE() << "accepted " << v;
+    } catch (const swhkm::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("sample 2"), std::string::npos) << what;
+      EXPECT_NE(what.find("dimension 1"), std::string::npos) << what;
+    }
+  }
+  // Extremes that are finite stay accepted.
+  const Dataset edge(
+      "edge", util::Matrix::from_vector(
+                  1, 3,
+                  {std::numeric_limits<float>::max(),
+                   -std::numeric_limits<float>::max(),
+                   std::numeric_limits<float>::denorm_min()}));
+  EXPECT_EQ(edge.n(), 1u);
 }
 
 TEST(Dataset, InfoCarriesShape) {
@@ -269,6 +302,27 @@ TEST(Io, CsvRejectsNonNumeric) {
   const std::string path = ::testing::TempDir() + "/swhkm_alpha.csv";
   std::ofstream(path) << "1,banana\n";
   EXPECT_THROW(load_csv(path), swhkm::InvalidArgument);
+}
+
+TEST(Io, CsvRejectsNonFiniteValues) {
+  for (const char* token : {"nan", "inf", "-inf"}) {
+    const std::string path = ::testing::TempDir() + "/swhkm_nonfinite.csv";
+    std::ofstream(path) << "1,2\n3," << token << "\n";
+    EXPECT_THROW(load_csv(path), swhkm::InvalidArgument) << token;
+  }
+}
+
+TEST(Io, BinaryRejectsNonFiniteValues) {
+  const std::string path = ::testing::TempDir() + "/swhkm_nonfinite.swkm";
+  save_binary(Dataset("ok", util::Matrix(3, 2, 1.0f)), path);
+  {
+    // Overwrite sample 1, dimension 0 in place (24-byte header).
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    file.seekp(24 + 2 * sizeof(float));
+    file.write(reinterpret_cast<const char*>(&nan), sizeof nan);
+  }
+  EXPECT_THROW(load_binary(path), swhkm::InvalidArgument);
 }
 
 TEST(Io, CsvRejectsEmptyFile) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/hkmeans.hpp"
 #include "util/error.hpp"
 
@@ -192,6 +194,42 @@ TEST_P(EngineLevelTest, WrongPlanLevelRejected) {
           run_level3(ds, config, machine, plan, std::move(centroids)),
           swhkm::InvalidArgument);
       break;
+  }
+}
+
+/// Blob samples with one coordinate replaced by `v`.
+util::Matrix blobs_with(float v) {
+  util::Matrix m = data::make_blobs(64, 6, 3, 5).samples();
+  m.at(37, 4) = v;
+  return m;
+}
+
+TEST_P(EngineLevelTest, NonFiniteSampleRaisesTypedError) {
+  // A single NaN used to reach the engines' argmin; the dataset boundary
+  // now rejects it (and infinities) before any rank starts.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  KmeansConfig config;
+  config.k = 3;
+  config.max_iterations = 3;
+  for (const float v : {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity()}) {
+    EXPECT_THROW(run_level(GetParam(), data::Dataset("bad", blobs_with(v)),
+                           config, machine),
+                 swhkm::InvalidArgument);
+  }
+}
+
+TEST(SerialLloyd, NonFiniteSampleRaisesTypedError) {
+  // Reproduced the crash: one NaN made lloyd_serial index the update
+  // accumulator with the argmin's "no centroid" sentinel.
+  KmeansConfig config;
+  config.k = 3;
+  config.max_iterations = 3;
+  for (const float v : {std::numeric_limits<float>::quiet_NaN(),
+                        -std::numeric_limits<float>::infinity()}) {
+    EXPECT_THROW(
+        lloyd_serial(data::Dataset("bad", blobs_with(v)), config),
+        swhkm::InvalidArgument);
   }
 }
 

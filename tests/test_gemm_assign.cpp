@@ -322,6 +322,296 @@ TEST(GemmKernel, AbftRepairKeepsRecordsExact) {
   run(TileScore2{});
 }
 
+// ------------------------------------------------ dot microkernel variants
+
+const detail::DotKernel* find_dot_kernel(const std::string& name) {
+  for (const detail::DotKernel& kernel : detail::dot_kernel_variants()) {
+    if (name == kernel.name) {
+      return &kernel;
+    }
+  }
+  return nullptr;
+}
+
+/// One instance per variant the library compiles; those the host cannot
+/// run are skipped, so every host checks what it dispatches.
+class DotKernelVariantTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    kernel_ = find_dot_kernel(GetParam());
+    generic_ = find_dot_kernel("generic");
+    ASSERT_NE(generic_, nullptr);
+    if (kernel_ == nullptr) {
+      GTEST_SKIP() << GetParam() << " is not supported on this host";
+    }
+  }
+  const detail::DotKernel* kernel_ = nullptr;
+  const detail::DotKernel* generic_ = nullptr;
+};
+
+/// u-major 16-lane panel of centroid rows [0, bw), padding lanes zero —
+/// what score_tile_gemm_gen hands the microkernel.
+std::vector<double> padded_panel(const util::Matrix& centroids,
+                                 std::size_t bw) {
+  const std::size_t d = centroids.cols();
+  std::vector<double> panel(detail::kCentroidRowBlock * d, 0.0);
+  for (std::size_t u = 0; u < d; ++u) {
+    for (std::size_t jj = 0; jj < bw; ++jj) {
+      panel[u * detail::kCentroidRowBlock + jj] =
+          static_cast<double>(centroids.at(jj, u));
+    }
+  }
+  return panel;
+}
+
+/// Every dot of `count` samples (sample t is ds row index(t)) against one
+/// panel through `kernel`: packed in the kernel's row blocks, 16 lanes per
+/// sample in the result.
+template <typename IndexFn>
+std::vector<double> sweep_dots(const detail::DotKernel& kernel,
+                               const data::Dataset& ds, IndexFn index,
+                               std::size_t count,
+                               const std::vector<double>& panel) {
+  constexpr std::size_t kLanes = detail::kCentroidRowBlock;
+  const std::size_t d = ds.d();
+  const std::size_t rows = kernel.rows;
+  const std::size_t blocks = (count + rows - 1) / rows;
+  std::vector<double> xpack(blocks * rows * d, 0.0);
+  detail::pack_tile_rows(ds, index, count, rows, xpack.data());
+  std::vector<double> dots(rows * kLanes);
+  std::vector<double> out(count * kLanes);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    kernel.fn(xpack.data() + b * rows * d, panel.data(), d, dots.data());
+    for (std::size_t r = 0; r < rows && b * rows + r < count; ++r) {
+      std::copy_n(dots.data() + r * kLanes, kLanes,
+                  out.data() + (b * rows + r) * kLanes);
+    }
+  }
+  return out;
+}
+
+/// Floats spread over the whole range: 1e-3..1e3 bulk plus entries near
+/// FLT_MAX, denormals, and signed zeros.
+std::vector<float> wide_floats(std::size_t count, std::mt19937& rng) {
+  std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
+  std::uniform_int_distribution<int> mag(-3, 3);
+  std::uniform_int_distribution<int> kind(0, 9);
+  std::vector<float> out(count);
+  for (float& v : out) {
+    switch (kind(rng)) {
+      case 0:
+        v = unit(rng) * std::numeric_limits<float>::max();
+        break;
+      case 1:
+        v = unit(rng) * std::numeric_limits<float>::min();  // denormal
+        break;
+      case 2:
+        v = unit(rng) < 0 ? -0.0f : std::numeric_limits<float>::denorm_min();
+        break;
+      default:
+        v = unit(rng) * std::pow(10.0f, static_cast<float>(mag(rng)));
+    }
+  }
+  return out;
+}
+
+TEST_P(DotKernelVariantTest, DotsBitIdenticalToGeneric) {
+  // A product of two floats is exact in double, so FMA and mul+add round
+  // identically and row blocking keeps each dot's ascending-u order: every
+  // variant must reproduce the generic build's bits, dot for dot, across
+  // ragged d, every tile count up to two blocks plus one, short centroid
+  // blocks, the ids gather path, and magnitudes from denormal to FLT_MAX.
+  constexpr std::size_t kLanes = detail::kCentroidRowBlock;
+  const std::size_t rows = kernel_->rows;
+  const std::size_t n = 2 * rows + 1;
+  std::mt19937 rng(0xD07);
+  for (const std::size_t d : {1u, 3u, 4u, 17u, 68u, 256u, 333u}) {
+    const data::Dataset ds(
+        "wide", util::Matrix::from_vector(n, d, wide_floats(n * d, rng)));
+    const util::Matrix centroids =
+        util::Matrix::from_vector(kLanes, d, wide_floats(kLanes * d, rng));
+    for (const std::size_t bw : {16u, 1u, 5u, 15u}) {
+      const std::vector<double> panel = padded_panel(centroids, bw);
+      const std::string label =
+          "d=" + std::to_string(d) + " bw=" + std::to_string(bw);
+      const auto identity = [](std::size_t t) { return t; };
+      for (std::size_t count = 1; count <= n; ++count) {
+        const std::vector<double> got =
+            sweep_dots(*kernel_, ds, identity, count, panel);
+        const std::vector<double> ref =
+            sweep_dots(*generic_, ds, identity, count, panel);
+        EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << label << " count=" << count;
+      }
+      // Gather path: repeated, descending and strided sample ids.
+      std::vector<std::uint32_t> ids;
+      for (std::size_t i = n; i-- > 0;) {
+        ids.push_back(static_cast<std::uint32_t>(i));
+        if (i % 3 == 0) {
+          ids.push_back(static_cast<std::uint32_t>(i));
+        }
+      }
+      const auto gather = [&ids](std::size_t t) {
+        return static_cast<std::size_t>(ids[t]);
+      };
+      const std::vector<double> got =
+          sweep_dots(*kernel_, ds, gather, ids.size(), panel);
+      // The generic build itself against the plain ascending-u loop.
+      for (std::size_t t = 0; t < ids.size(); ++t) {
+        const auto x = ds.sample(ids[t]);
+        for (std::size_t jj = 0; jj < kLanes; ++jj) {
+          double ref = 0;
+          for (std::size_t u = 0; u < d; ++u) {
+            ref += static_cast<double>(x[u]) * panel[u * kLanes + jj];
+          }
+          EXPECT_EQ(std::memcmp(&got[t * kLanes + jj], &ref, sizeof ref), 0)
+              << label << " ids t=" << t << " jj=" << jj;
+        }
+      }
+    }
+  }
+}
+
+/// Both record widths through `kernel` and through the generic build:
+/// records byte-identical, fallback counts equal. Returns the count.
+std::size_t expect_tile_matches_generic(const detail::DotKernel& kernel,
+                                        const detail::DotKernel& generic,
+                                        const data::Dataset& ds,
+                                        const util::Matrix& centroids,
+                                        std::size_t j_begin,
+                                        std::size_t j_end,
+                                        const std::string& label) {
+  const std::vector<double> norms = norms_of(centroids);
+  std::size_t fallback = 0;
+  const auto run = [&]<typename Rec>(Rec) {
+    std::vector<Rec> got(ds.n());
+    std::vector<Rec> ref(ds.n());
+    detail::clear_scores(std::span<Rec>(got));
+    detail::clear_scores(std::span<Rec>(ref));
+    fallback = detail::score_tile_gemm(ds, 0, ds.n(), centroids,
+                                       std::span<const double>(norms),
+                                       j_begin, j_end, std::span<Rec>(got),
+                                       nullptr, kernel);
+    EXPECT_EQ(fallback, detail::score_tile_gemm(
+                            ds, 0, ds.n(), centroids,
+                            std::span<const double>(norms), j_begin, j_end,
+                            std::span<Rec>(ref), nullptr, generic))
+        << label;
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), got.size() * sizeof(Rec)),
+              0)
+        << label;
+  };
+  run(TileScore{});
+  run(TileScore2{});
+  return fallback;
+}
+
+TEST_P(DotKernelVariantTest, TileRecordsAndFallbacksMatchGeneric) {
+  // Uniform tile (no fallback), a coincident pile (every row falls back)
+  // and an adversarial descending order (repeated compaction), full and
+  // partial slices.
+  const data::Dataset uniform = data::make_uniform(45, 68, 21);
+  const util::Matrix spread = data::make_uniform(80, 68, 22).samples();
+  EXPECT_EQ(expect_tile_matches_generic(*kernel_, *generic_, uniform, spread,
+                                        0, 80, "uniform"),
+            0u);
+  expect_tile_matches_generic(*kernel_, *generic_, uniform, spread, 3, 74,
+                              "uniform slice");
+
+  const std::size_t d = 5;
+  util::Matrix pile(14, d, 0.0f);
+  for (std::size_t u = 0; u < d; ++u) {
+    pile.at(12, u) = 5.0f;
+    pile.at(13, u) = -3.0f;
+  }
+  std::vector<float> xs(19 * d);
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<float> near(-0.5f, 0.5f);
+  for (float& v : xs) {
+    v = near(rng);
+  }
+  const data::Dataset around("pile", util::Matrix::from_vector(19, d, xs));
+  EXPECT_EQ(expect_tile_matches_generic(*kernel_, *generic_, around, pile, 0,
+                                        14, "pile"),
+            19u);
+
+  util::Matrix descending(40, 9);
+  for (std::size_t j = 0; j < 40; ++j) {
+    for (std::size_t u = 0; u < 9; ++u) {
+      descending.at(j, u) = static_cast<float>(40 - j / 2) * (u % 2 ? -1 : 1);
+    }
+  }
+  const data::Dataset origin = data::make_uniform(23, 9, 23);
+  expect_tile_matches_generic(*kernel_, *generic_, origin, descending, 0, 40,
+                              "descending");
+}
+
+TEST_P(DotKernelVariantTest, AbftRepairMidBlockAndRaggedTail) {
+  // The damaged coordinate (centroid 0, u = 0) is invisible to samples
+  // whose x[0] is 0, so the first detection lands exactly at `first_hit`:
+  // sample 5 sits inside a row block for every R, and sample 40 of 41 in
+  // the padded tail block (41 is a multiple of no variant's R). Either way
+  // the block is recomputed on the rebuilt panel: one detection, one
+  // repair, records equal to score_tile. k = 13 makes the damaged panel a
+  // short one, rebuilt dense and widened to 16 lanes again.
+  struct Case {
+    std::size_t k;
+    std::size_t first_hit;
+  };
+  for (const auto& [k, first_hit] :
+       {Case{64, 5}, Case{64, 40}, Case{13, 5}, Case{13, 40}}) {
+    const util::Matrix centroids = data::make_uniform(k, 33, 12).samples();
+    const std::vector<double> norms = norms_of(centroids);
+    util::Matrix xs = data::make_uniform(41, 33, 11).samples();
+    for (std::size_t t = 0; t < first_hit; ++t) {
+      xs.at(t, 0) = 0.0f;
+    }
+    const data::Dataset ds("abft", std::move(xs));
+    const auto run = [&]<typename Rec>(Rec) {
+      detail::GemmSdcHooks hooks;
+      hooks.check = true;
+      bool fired = false;
+      hooks.flip = [&fired](std::span<std::byte> panel) {
+        if (fired) {
+          return;
+        }
+        fired = true;
+        double v = 0;
+        std::memcpy(&v, panel.data(), sizeof v);
+        v += 1000.0;
+        std::memcpy(panel.data(), &v, sizeof v);
+      };
+      std::vector<Rec> ref(ds.n());
+      std::vector<Rec> got(ds.n());
+      detail::clear_scores(std::span<Rec>(ref));
+      detail::clear_scores(std::span<Rec>(got));
+      detail::score_tile(ds, 0, ds.n(), centroids, 0, centroids.rows(),
+                         std::span<Rec>(ref));
+      EXPECT_EQ(detail::score_tile_gemm(
+                    ds, 0, ds.n(), centroids, std::span<const double>(norms),
+                    0, centroids.rows(), std::span<Rec>(got), &hooks,
+                    *kernel_),
+                0u);
+      const std::string label = "k=" + std::to_string(k) +
+                                " first_hit=" + std::to_string(first_hit);
+      EXPECT_EQ(hooks.detected, 1u) << label;
+      EXPECT_EQ(hooks.recomputed, 1u) << label;
+      expect_records_equal(std::span<const Rec>(got),
+                           std::span<const Rec>(ref), label);
+    };
+    run(TileScore{});
+    run(TileScore2{});
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, DotKernelVariantTest,
+                         ::testing::Values("generic", "avx2", "avx512"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
 TEST(SafeRadii, BlockedMatchesPairwiseReference) {
   // compute_safe_radii streams centroid rows past 16-row panels; it must
   // reproduce the pairwise squared_distance scan bit for bit across block
