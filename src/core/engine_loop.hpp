@@ -36,7 +36,7 @@ namespace swhkm::core::detail {
 // of `+=` is what keeps the model bit-stable.
 
 /// Run-wide state shared by every rank: the validated inputs, the resolved
-/// kernel and tile size, the installed collective schedule, and the result
+/// kernel and tile size, the collective schedule, and the result
 /// — whose centroids are the one shared read-only snapshot all ranks score
 /// against (refreshed only at the bulk-synchronous iteration edge inside
 /// reduce_and_update), so centroid memory is O(k*d) per run, not per rank.
@@ -68,20 +68,16 @@ struct EngineRun {
       config.tile_samples, plan, machine, config.sstep_tiles, gemm);
   const bool hier = config.hier_collectives;
   const std::size_t xover = machine.collective_crossover_bytes();
+  // Launch schedule: one supernode's CGs per intra group and the machine's
+  // crossover with hier_collectives on, the flat width-1 spec off.
+  const swmpi::HierarchySpec hierarchy =
+      hier ? swmpi::HierarchySpec{static_cast<int>(machine.cgs_per_node *
+                                                   machine.supernode_nodes),
+                                  xover}
+           : swmpi::HierarchySpec{};
   const simarch::Topology topo{machine};
   telemetry::Telemetry* const tel = config.telemetry;
   KmeansResult result;
-
- private:
-  // Hierarchical-collective schedule: one supernode's CGs form an intra
-  // group, the crossover is derived from the machine's inter-supernode
-  // latency/bandwidth terms. The guard installs the runtime schedule for
-  // the ranks run_engine launches and restores the previous one after.
-  swmpi::ScopedCollectiveSchedule collective_guard_{
-      hier ? swmpi::CollectiveSchedule::kHierarchical
-           : swmpi::CollectiveSchedule::kFlat,
-      {static_cast<int>(machine.cgs_per_node * machine.supernode_nodes),
-       xover}};
 };
 
 /// What a policy's assign phase reports to the loop.
@@ -364,7 +360,8 @@ KmeansResult run_engine(Level level, const char* name,
       },
       config.fault_plan,
       run.tel != nullptr && run.tel->config().swmpi ? &run.tel->metrics()
-                                                    : nullptr);
+                                                    : nullptr,
+      run.hierarchy);
   return run.finish();
 }
 

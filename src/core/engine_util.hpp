@@ -68,7 +68,7 @@ inline std::pair<double, std::uint32_t> nearest_in_slice(
 /// their argmin state over: one collective (Level 3) or one accumulation
 /// sweep per tile instead of per sample. Any value gives bit-identical
 /// results (the tile argmin preserves the left-to-right tie-break); 256
-/// keeps a tile's MinLoc buffer at 4 KiB while amortising the per-batch
+/// keeps a tile's argmin records at a few KiB while amortising the per-batch
 /// synchronisation far past the point of diminishing returns.
 inline constexpr std::size_t kAssignTileSamples = 256;
 
@@ -743,7 +743,7 @@ inline std::size_t score_tile_gemm_gen(const data::Dataset& dataset,
           } else if (up < b2) {
             b2 = up;
           }
-          // A MinLoc record only needs the exact winner, so U1 suffices;
+          // A winner-only record needs just the exact winner, so U1 suffices;
           // the top-two records screen against U2.
           const double bar = HasSecond<MinLocT> ? b2 : b1;
           if (lower <= bar) {

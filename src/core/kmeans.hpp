@@ -92,14 +92,13 @@ struct KmeansConfig {
   /// buffer footprint scales with it and is validated at config time by
   /// resolve_tile_samples. 1 reproduces the per-tile combine.
   std::size_t sstep_tiles = 1;
-  /// Topology-aware hierarchical collectives: run the swmpi reduction
-  /// collectives on the two-level schedule (zero-copy intra-supernode
-  /// fold into per-supernode leaders, size-adaptive inter-supernode
-  /// stage) and charge the topology model's hierarchical costs, with the
-  /// crossover threshold derived from the machine's latency/bandwidth
-  /// terms (MachineConfig::collective_crossover_bytes). Bit-identical to
-  /// the flat schedule by construction (DESIGN.md §12); off restores the
-  /// flat collectives and flat charges as the A/B baseline.
+  /// Topology-aware hierarchical collectives: launch the engine's ranks
+  /// with a supernode-wide swmpi::HierarchySpec (zero-copy intra-supernode
+  /// fold, size-adaptive inter-supernode stage, crossover from
+  /// MachineConfig::collective_crossover_bytes) and charge the topology
+  /// model's hierarchical costs; off launches the flat width-1 spec and
+  /// charges flat costs. Each fit's spec is its own, so concurrent fits
+  /// keep theirs. Bit-identical either way (DESIGN.md §12).
   bool hier_collectives = true;
   /// Layered silent-data-corruption defense in the engines: CRC scrubbing
   /// of the published centroid snapshot and the update accumulators

@@ -36,7 +36,7 @@ class Level3Grid {
         // bit-identical; only the collective *round* count moves.
         span_samples_(loop.run.tile_samples * loop.run.config.sstep_tiles),
         record_bytes_(loop.gate ? sizeof(swmpi::MinLoc2)
-                                : sizeof(swmpi::MinLoc)) {
+                                : kArgminRecordBytes) {
     const detail::EngineRun& run = loop.run;
     // Group argmin combine price per sample: tiny payloads, so the
     // hierarchical charge's size-adaptive stage always lands on the
@@ -45,8 +45,8 @@ class Level3Grid {
     // Gated spans carry MinLoc2 records — 8 bytes per sample more than the
     // plain argmin, the price of the exact global runner-up distance. The
     // host combines ungated spans over the same MinLoc2 record, but an
-    // ungated machine needs only the 16-byte (distance, index) argmin, so
-    // that is what the model prices.
+    // ungated machine needs only the kArgminRecordBytes argmin, so that is
+    // what the model prices.
     group_charge_ = run.topo.hier_allreduce_charge(record_bytes_, group_ * p_,
                                                    p_, run.xover);
     group_combine_time_ =
@@ -270,6 +270,8 @@ class Level3Grid {
   const std::size_t j_begin_;  // this CG's centroid slice [j_begin, j_end)
   const std::size_t j_end_;
   const std::size_t span_samples_;
+  // The (distance, index) argmin an ungated machine sends per sample.
+  static constexpr std::size_t kArgminRecordBytes = 16;
   const std::size_t record_bytes_;  // modeled combine record per sample
   simarch::CollectiveCharge group_charge_;
   double group_combine_time_ = 0;

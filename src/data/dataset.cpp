@@ -8,10 +8,10 @@
 
 namespace swhkm::data {
 
-Dataset::Dataset(std::string name, util::Matrix samples)
-    : name_(std::move(name)), samples_(std::move(samples)) {
-  for (std::size_t i = 0; i < n(); ++i) {
-    const std::span<const float> row = samples_.row(i);
+void require_finite_rows(const std::string& name, const util::Matrix& rows,
+                         std::size_t first_row) {
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    const std::span<const float> row = rows.row(i);
     bool finite = true;
     for (const float v : row) {
       finite &= std::isfinite(v);
@@ -22,11 +22,16 @@ Dataset::Dataset(std::string name, util::Matrix samples)
     const auto bad = std::find_if(
         row.begin(), row.end(), [](float v) { return !std::isfinite(v); });
     throw InvalidArgument(
-        "dataset '" + name_ + "': sample " + std::to_string(i) +
+        "dataset '" + name + "': sample " + std::to_string(first_row + i) +
         ", dimension " + std::to_string(bad - row.begin()) + " is " +
         (std::isnan(*bad) ? "NaN" : "infinite") +
         "; k-means needs finite coordinates");
   }
+}
+
+Dataset::Dataset(std::string name, util::Matrix samples)
+    : name_(std::move(name)), samples_(std::move(samples)) {
+  require_finite_rows(name_, samples_, 0);
 }
 
 std::vector<double> Dataset::dimension_means() const {

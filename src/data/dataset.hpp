@@ -23,13 +23,19 @@ struct DatasetInfo {
   }
 };
 
+/// Throw InvalidArgument naming the first NaN or infinite coordinate of
+/// `rows`, which hold samples [first_row, first_row + rows.rows()) of
+/// dataset `name`: every kernel assumes finite coordinates (a NaN distance
+/// loses every comparison, so no centroid is ever chosen). The one check
+/// behind both the in-memory Dataset and the out-of-core reader.
+void require_finite_rows(const std::string& name, const util::Matrix& rows,
+                         std::size_t first_row);
+
 /// In-memory dataset: n samples of d dimensions, row-major float.
 class Dataset {
  public:
   Dataset() = default;
-  /// Throws InvalidArgument naming the first sample and dimension that is
-  /// NaN or infinite: every kernel assumes finite coordinates (a NaN
-  /// distance loses every comparison, so no centroid is ever chosen).
+  /// Throws InvalidArgument through require_finite_rows.
   Dataset(std::string name, util::Matrix samples);
 
   const std::string& name() const { return name_; }

@@ -54,6 +54,7 @@ util::Matrix BinaryDatasetReader::read_rows(std::size_t first,
   if (!file) {
     throw InvalidArgument(path_ + " is truncated");
   }
+  require_finite_rows(path_, chunk, first);
   return chunk;
 }
 
@@ -73,6 +74,7 @@ void BinaryDatasetReader::for_each_chunk(
     if (!file) {
       throw InvalidArgument(path_ + " is truncated");
     }
+    require_finite_rows(path_, chunk, first);
     visit(chunk, first);
   }
 }

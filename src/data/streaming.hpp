@@ -23,7 +23,9 @@ class BinaryDatasetReader {
 
   /// Visit the dataset in row chunks of at most `chunk_rows`. The callback
   /// receives the chunk (row-major, chunk.rows() <= chunk_rows) and the
-  /// global index of its first row. Always iterates front to back.
+  /// global index of its first row. Always iterates front to back. Like
+  /// read_rows, throws InvalidArgument (require_finite_rows) on a chunk
+  /// holding a NaN or infinite coordinate.
   void for_each_chunk(
       std::size_t chunk_rows,
       const std::function<void(const util::Matrix& chunk,

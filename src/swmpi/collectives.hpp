@@ -14,7 +14,11 @@ namespace swhkm::swmpi {
 /// Collectives over a Comm. Every rank of the communicator must call the
 /// same collective in the same order (standard MPI discipline). Reduction
 /// trees are fixed binomial trees, so results are deterministic run-to-run
-/// for a given rank count.
+/// for a given rank count. The reduction-shaped collectives (allreduce,
+/// SplitAllreduce/DeferredCombine, allgatherv) have one implementation,
+/// the two-level schedule shaped by the communicator's HierarchySpec
+/// (Comm::hierarchy(), fixed at launch); the default spec makes it the
+/// flat whole-world pattern.
 
 namespace detail {
 
@@ -73,63 +77,6 @@ class CollectiveScope {
 
 }  // namespace detail
 
-/// Which schedule the reduction-shaped collectives (allreduce and friends,
-/// allgatherv, SplitAllreduce/DeferredCombine) run.
-/// kFlat is the original single binomial / recursive pattern over the whole
-/// world and stays available as the A/B baseline.
-enum class CollectiveSchedule {
-  kFlat,
-  kHierarchical,
-};
-
-/// Shape and tuning of the two-level schedule. `ranks_per_group` is how
-/// many consecutive ranks share a supernode (the engines pass
-/// cgs_per_node * supernode_nodes); the intra stage folds within aligned
-/// power-of-two blocks of that width, so any value — including non-powers
-/// of two and values larger than the world — yields a valid grouping.
-/// `crossover_bytes` is the payload size above which the inter-group stage
-/// switches from the latency-optimal binomial tree to the
-/// bandwidth-optimal reduce_scatter+allgather exchange; the engines derive
-/// it from MachineConfig::collective_crossover_bytes() instead of
-/// hard-coding it.
-struct HierarchySpec {
-  int ranks_per_group = 1;
-  std::size_t crossover_bytes = 128 * 1024;
-};
-
-/// Process-global schedule selection, read at every collective entry. Set
-/// before ranks launch (or between run_spmd invocations); toggling while
-/// ranks are inside a collective is undefined.
-CollectiveSchedule default_collective_schedule();
-void set_default_collective_schedule(CollectiveSchedule schedule);
-HierarchySpec default_hierarchy_spec();
-void set_default_hierarchy_spec(const HierarchySpec& spec);
-
-/// RAII schedule override: installs (schedule, spec), restores the previous
-/// pair on destruction. The engines wrap each run_spmd in one of these so a
-/// failed run cannot leak a hierarchical default into later flat tests.
-class ScopedCollectiveSchedule {
- public:
-  ScopedCollectiveSchedule(CollectiveSchedule schedule,
-                           const HierarchySpec& spec)
-      : prev_schedule_(default_collective_schedule()),
-        prev_spec_(default_hierarchy_spec()) {
-    set_default_collective_schedule(schedule);
-    set_default_hierarchy_spec(spec);
-  }
-  ScopedCollectiveSchedule(const ScopedCollectiveSchedule&) = delete;
-  ScopedCollectiveSchedule& operator=(const ScopedCollectiveSchedule&) =
-      delete;
-  ~ScopedCollectiveSchedule() {
-    set_default_collective_schedule(prev_schedule_);
-    set_default_hierarchy_spec(prev_spec_);
-  }
-
- private:
-  CollectiveSchedule prev_schedule_;
-  HierarchySpec prev_spec_;
-};
-
 /// Dissemination barrier: log2(size) rounds of token passing.
 void barrier(Comm& comm);
 
@@ -158,30 +105,16 @@ struct Max {
 };
 }  // namespace ops
 
-/// (distance, index) pair with the tie-break-toward-lower-index ordering
-/// that keeps partitioned argmin identical to a serial scan. The ordering
-/// is element-wise, so one vector-shaped allreduce_minloc resolves a whole
-/// tile of samples in a single barrier. The engines combine MinLoc2 on the
-/// host; the cost model prices an ungated Level 3 combine at this 16-byte
-/// record.
-struct MinLoc {
-  double value = 0;
-  std::uint64_t index = 0;
-
-  friend bool operator<(const MinLoc& a, const MinLoc& b) {
-    return a.value != b.value ? a.value < b.value : a.index < b.index;
-  }
-};
-static_assert(std::is_trivially_copyable_v<MinLoc> && sizeof(MinLoc) == 16,
-              "MinLoc must stay a trivially copyable 16-byte record: tiles "
-              "of them are sent through the mailbox byte transport");
-
-/// MinLoc extended with the runner-up distance: the smallest (value, index)
-/// wins as in MinLoc, and `second` tracks the smallest distance over every
-/// *other* candidate seen so far. With each rank contributing the top two
-/// distances of its disjoint centroid slice, the combined record holds the
-/// exact global best and global second-best — which is what a Hamerly
-/// lower bound needs to stay exact under the nk/nkd centroid slicing.
+/// (distance, index) record with the runner-up distance: the smallest
+/// (value, index) wins — ties break toward the lower index, which keeps a
+/// partitioned argmin identical to a serial scan — and `second` tracks the
+/// smallest distance over every *other* candidate seen so far. With each
+/// rank contributing the top two distances of its disjoint centroid slice,
+/// the combined record holds the exact global best and global second-best
+/// — which is what a Hamerly lower bound needs to stay exact under the
+/// nk/nkd centroid slicing. The combine is element-wise, so one
+/// vector-shaped allreduce resolves a whole tile of samples in a single
+/// round.
 struct MinLoc2 {
   double value = 0;
   std::uint64_t index = 0;
@@ -305,12 +238,14 @@ struct HierLayout {
   int width = 1;       ///< aligned block width (power of two)
 };
 
-inline HierLayout hier_layout(int rank, int size, int ranks_per_group) {
+/// This rank's place under its communicator's schedule.
+inline HierLayout hier_layout(const Comm& comm) {
+  const int size = comm.size();
   HierLayout l;
-  l.width = floor_pow2(std::clamp(ranks_per_group, 1, size));
-  l.group = rank / l.width;
+  l.width = floor_pow2(std::clamp(comm.hierarchy().ranks_per_group, 1, size));
+  l.group = comm.rank() / l.width;
   l.leader = l.group * l.width;
-  l.local = rank - l.leader;
+  l.local = comm.rank() - l.leader;
   l.num_groups = (size + l.width - 1) / l.width;
   l.group_size = std::min(l.width, size - l.leader);
   return l;
@@ -321,7 +256,7 @@ inline HierLayout hier_layout(int rank, int size, int ranks_per_group) {
 struct HierTags {
   int ptr = 0;      ///< member -> leader buffer-pointer publish
   int inter_a = 0;  ///< inter-group reduce / halving / exchange
-  int inter_b = 0;  ///< inter-group broadcast / doubling / range scatter
+  int inter_b = 0;  ///< inter-group broadcast / doubling
   int down = 0;     ///< leader -> member result delivery
   int ack = 0;      ///< member -> leader buffer release
 };
@@ -396,46 +331,69 @@ void hier_intra_fold(Comm& comm, const HierLayout& l, const HierTags& tags,
       [&](int r) { return streams[static_cast<std::size_t>(r)]; }, op);
 }
 
-/// Latency-optimal inter stage: binomial tree over group indices (reduce
-/// to group 0's leader, broadcast back down). Group G absorbing group
-/// G + step with the incoming operand on the right is exactly the flat
-/// tree's steps >= width, so the association is unchanged.
+/// Binomial-tree reduce over the `n` ranks 0, stride, …, (n-1)*stride
+/// (member v is rank v*stride) toward member `root`, on a tag the caller
+/// reserved: stride 1 is reduce(); stride = group width is the
+/// latency-optimal inter stage over the group leaders, where group G
+/// absorbing group G + step with the incoming operand on the right is
+/// exactly the whole-world tree's steps >= width, so the association is
+/// unchanged. Off-root members are left holding partial reductions.
 template <typename T, typename Op>
-void hier_inter_tree(Comm& comm, const HierLayout& l, const HierTags& tags,
-                     std::span<T> buf, Op op) {
-  const int ng = l.num_groups;
-  const int g = l.group;
-  for (int step = 1; step < ng; step <<= 1) {
-    if (g & step) {
-      comm.send<T>(binomial_parent(g) * l.width, tags.inter_a,
+void tree_reduce(Comm& comm, int tag, int root, int stride, int n,
+                 std::span<T> buf, Op op) {
+  CollectiveScope scope(comm, telemetry::CollectiveKind::kReduce,
+                        buf.size_bytes());
+  if (n <= 1) {
+    return;
+  }
+  const int vrank = (comm.rank() / stride - root + n) % n;
+  const auto rank_of = [&](int v) { return (v + root) % n * stride; };
+  for (int step = 1; step < n; step <<= 1) {
+    if (vrank & step) {
+      comm.send<T>(rank_of(binomial_parent(vrank)), tag,
                    std::span<const T>(buf.data(), buf.size()));
-      break;
+      return;
     }
-    if (g + step < ng) {
-      std::vector<T> incoming =
-          comm.recv<T>((g + step) * l.width, tags.inter_a);
+    if (vrank + step < n) {
+      std::vector<T> incoming = comm.recv<T>(rank_of(vrank + step), tag);
       SWHKM_REQUIRE(incoming.size() == buf.size(),
-                    "hier inter-tree payload size mismatch");
+                    "reduce payload size mismatch");
       for (std::size_t i = 0; i < buf.size(); ++i) {
         op(buf[i], incoming[i]);
       }
     }
   }
+}
+
+/// Binomial-tree broadcast from member `root` over the same strided member
+/// set as tree_reduce: receive from the parent (clear-lowest-set-bit),
+/// then relay to children v + m for descending powers of two m below v's
+/// lowest set bit.
+template <typename T>
+void tree_bcast(Comm& comm, int tag, int root, int stride, int n,
+                std::span<T> buf) {
+  CollectiveScope scope(comm, telemetry::CollectiveKind::kBcast,
+                        buf.size_bytes());
+  if (n <= 1) {
+    return;
+  }
+  const int vrank = (comm.rank() / stride - root + n) % n;
+  const auto rank_of = [&](int v) { return (v + root) % n * stride; };
   int top = 1;
-  while (top < ng) {
+  while (top < n) {
     top <<= 1;
   }
-  const int lsb = g == 0 ? top : (g & (-g));
-  if (g != 0) {
+  const int lsb = vrank == 0 ? top : (vrank & (-vrank));
+  if (vrank != 0) {
     std::vector<T> incoming =
-        comm.recv<T>(binomial_parent(g) * l.width, tags.inter_b);
+        comm.recv<T>(rank_of(binomial_parent(vrank)), tag);
     SWHKM_REQUIRE(incoming.size() == buf.size(),
-                  "hier inter-tree bcast size mismatch");
+                  "bcast payload size mismatch");
     std::copy(incoming.begin(), incoming.end(), buf.begin());
   }
   for (int m = lsb >> 1; m >= 1; m >>= 1) {
-    if (g + m < ng) {
-      comm.send<T>((g + m) * l.width, tags.inter_b,
+    if (vrank + m < n) {
+      comm.send<T>(rank_of(vrank + m), tag,
                    std::span<const T>(buf.data(), buf.size()));
     }
   }
@@ -532,266 +490,31 @@ inline bool inter_uses_rsag(const HierLayout& l, std::size_t payload_bytes,
          (l.num_groups & (l.num_groups - 1)) == 0;
 }
 
-/// Blocking tail of the hierarchical allreduce: everything after the
-/// member's pointer publish. Split out so SplitAllreduce can post the
-/// publish in start() and run the rest in finish().
-template <typename T, typename Op>
-void hier_allreduce_finish(Comm& comm, const HierLayout& l,
-                           const HierTags& tags, const HierarchySpec& spec,
-                           std::span<T> buf, Op op) {
-  if (l.local != 0) {
-    // Parked here until the leader's fold + inter stage finish; the
-    // publish above keeps this rank's buffer valid for the leader to read.
-    const T* result = recv_ptr<T>(comm, l.leader, tags.down);
-    std::copy(result, result + buf.size(), buf.begin());
-    comm.send_value<std::uint8_t>(l.leader, tags.ack, 1);
-    return;
-  }
-  hier_intra_fold(comm, l, tags, buf, op);
-  const bool rsag = inter_uses_rsag(l, buf.size_bytes(), spec.crossover_bytes);
-  if (l.num_groups > 1) {
-    if (rsag) {
-      hier_inter_rsag(comm, l, tags, buf, op);
-    } else {
-      hier_inter_tree(comm, l, tags, buf, op);
-    }
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    publish_ptr(comm, l.leader + j, tags.down, buf.data());
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    (void)comm.recv_value<std::uint8_t>(l.leader + j, tags.ack);
-  }
-  tick_hier_counters(comm,
-                     rsag ? "swmpi.hier.allreduce.algo_rsag"
-                          : "swmpi.hier.allreduce.algo_tree",
-                     "swmpi.hier.allreduce.intra_rounds",
-                     "swmpi.hier.allreduce.inter_rounds",
-                     2 * ceil_log2(l.group_size),
-                     l.num_groups > 1 ? 2 * ceil_log2(l.num_groups) : 0);
-}
-
-/// Two-level allreduce: intra-group zero-copy fold into the leaders, a
-/// size-adaptive inter stage among leaders, then the result pointer fans
-/// back down and members copy it out. Bit-identical to the flat schedule
-/// for every op and world shape (the callers' contract).
-template <typename T, typename Op>
-void hier_allreduce(Comm& comm, std::span<T> buf, Op op,
-                    const HierarchySpec& spec) {
-  const HierLayout l = hier_layout(comm.rank(), comm.size(),
-                                   spec.ranks_per_group);
-  const HierTags tags = reserve_hier_tags(comm);
-  if (l.local != 0) {
-    publish_ptr(comm, l.leader, tags.ptr, buf.data());
-  }
-  hier_allreduce_finish(comm, l, tags, spec, buf, op);
-}
-
-/// Two-level allgatherv: members publish their contribution pointers, each
-/// leader assembles its group block straight from the member buffers, the
-/// leaders exchange blocks (recursive doubling when the group count is a
-/// power of two, direct exchange otherwise — concatenation has no
-/// reduction op, so the bandwidth schedule is always the right one), and
-/// the assembled result fans back down by pointer. `all` arrives with the
-/// caller's own contribution already placed and leaves fully assembled.
-template <typename T>
-void hier_allgatherv_fill(Comm& comm, std::span<const T> mine,
-                          std::span<const std::size_t> offsets,
-                          std::vector<T>& all, const HierarchySpec& spec) {
-  const int size = comm.size();
-  const int rank = comm.rank();
-  const HierLayout l = hier_layout(rank, size, spec.ranks_per_group);
-  const HierTags tags = reserve_hier_tags(comm);
-  if (l.local != 0) {
-    publish_ptr(comm, l.leader, tags.ptr, mine.data());
-    const T* result = recv_ptr<T>(comm, l.leader, tags.down);
-    std::copy(result, result + all.size(), all.begin());
-    comm.send_value<std::uint8_t>(l.leader, tags.ack, 1);
-    return;
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    const int r = l.leader + j;
-    const T* src = recv_ptr<T>(comm, r, tags.ptr);
-    std::copy(src, src + (offsets[r + 1] - offsets[r]),
-              all.begin() + static_cast<std::ptrdiff_t>(offsets[r]));
-  }
-  const int ng = l.num_groups;
-  const auto goff = [&](int q) {
-    return offsets[std::min(static_cast<std::size_t>(q) *
-                                static_cast<std::size_t>(l.width),
-                            static_cast<std::size_t>(size))];
-  };
-  const bool doubling = ng > 1 && (ng & (ng - 1)) == 0;
-  if (ng > 1) {
-    const int g = l.group;
-    if (doubling) {
-      for (int s = 1; s < ng; s <<= 1) {
-        const int peer_group = g ^ s;
-        const int peer = peer_group * l.width;
-        const int base = g & ~(s - 1);
-        const int pbase = peer_group & ~(s - 1);
-        comm.send<T>(peer, tags.inter_a,
-                     std::span<const T>(all.data() + goff(base),
-                                        goff(base + s) - goff(base)));
-        const std::vector<T> incoming = comm.recv<T>(peer, tags.inter_a);
-        SWHKM_REQUIRE(incoming.size() == goff(pbase + s) - goff(pbase),
-                      "hier allgatherv round length mismatch");
-        std::copy(incoming.begin(), incoming.end(),
-                  all.begin() + static_cast<std::ptrdiff_t>(goff(pbase)));
-      }
-    } else {
-      for (int q = 0; q < ng; ++q) {
-        if (q != g) {
-          comm.send<T>(q * l.width, tags.inter_a,
-                       std::span<const T>(all.data() + goff(g),
-                                          goff(g + 1) - goff(g)));
-        }
-      }
-      for (int q = 0; q < ng; ++q) {
-        if (q == g) {
-          continue;
-        }
-        const std::vector<T> incoming =
-            comm.recv<T>(q * l.width, tags.inter_a);
-        SWHKM_REQUIRE(incoming.size() == goff(q + 1) - goff(q),
-                      "hier allgatherv block length mismatch");
-        std::copy(incoming.begin(), incoming.end(),
-                  all.begin() + static_cast<std::ptrdiff_t>(goff(q)));
-      }
-    }
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    publish_ptr(comm, l.leader + j, tags.down, all.data());
-  }
-  for (int j = 1; j < l.group_size; ++j) {
-    (void)comm.recv_value<std::uint8_t>(l.leader + j, tags.ack);
-  }
-  tick_hier_counters(comm,
-                     doubling ? "swmpi.hier.allgatherv.algo_doubling"
-                              : "swmpi.hier.allgatherv.algo_direct",
-                     "swmpi.hier.allgatherv.intra_rounds",
-                     "swmpi.hier.allgatherv.inter_rounds",
-                     2 * ceil_log2(l.group_size),
-                     ng > 1 ? (doubling ? ceil_log2(ng)
-                                        : static_cast<std::uint32_t>(1))
-                            : 0);
-}
-
 }  // namespace detail
 
 /// Broadcast `buf` from `root` to all ranks (binomial tree).
 template <typename T>
 void bcast(Comm& comm, int root, std::span<T> buf) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kBcast,
-                                buf.size_bytes());
-  const int size = comm.size();
-  if (size <= 1) {
-    return;
-  }
-  const int tag = comm.next_collective_tag();
-  const int vrank = (comm.rank() - root + size) % size;
-
-  // Receive from the parent (clear-lowest-set-bit), then relay to children
-  // vrank + m for descending powers of two m below my lowest set bit.
-  int top = 1;
-  while (top < size) {
-    top <<= 1;
-  }
-  int lsb = vrank == 0 ? top : (vrank & (-vrank));
-  if (vrank != 0) {
-    const int parent = detail::binomial_parent(vrank);
-    std::vector<T> incoming =
-        comm.recv<T>((parent + root) % size, tag);
-    SWHKM_REQUIRE(incoming.size() == buf.size(),
-                  "bcast payload size mismatch");
-    std::copy(incoming.begin(), incoming.end(), buf.begin());
-  }
-  for (int m = lsb >> 1; m >= 1; m >>= 1) {
-    const int child = vrank + m;
-    if (child < size) {
-      comm.send<T>((child + root) % size, tag,
-                   std::span<const T>(buf.data(), buf.size()));
-    }
-  }
+  const int tag = comm.size() > 1 ? comm.next_collective_tag() : 0;
+  detail::tree_bcast(comm, tag, root, 1, comm.size(), buf);
 }
 
 /// Reduce element-wise into `buf` at `root` (binomial tree); on non-root
 /// ranks `buf` is left holding intermediate partial reductions.
 template <typename T, typename Op>
 void reduce(Comm& comm, int root, std::span<T> buf, Op op) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kReduce,
-                                buf.size_bytes());
-  const int size = comm.size();
-  if (size <= 1) {
-    return;
-  }
-  const int tag = comm.next_collective_tag();
-  const int vrank = (comm.rank() - root + size) % size;
-  for (int step = 1; step < size; step <<= 1) {
-    if (vrank & step) {
-      comm.send<T>((detail::binomial_parent(vrank) + root) % size, tag,
-                   std::span<const T>(buf.data(), buf.size()));
-      return;
-    }
-    const int child = vrank + step;
-    if (child < size) {
-      std::vector<T> incoming = comm.recv<T>((child + root) % size, tag);
-      SWHKM_REQUIRE(incoming.size() == buf.size(),
-                    "reduce payload size mismatch");
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        op(buf[i], incoming[i]);
-      }
-    }
-  }
+  const int tag = comm.size() > 1 ? comm.next_collective_tag() : 0;
+  detail::tree_reduce(comm, tag, root, 1, comm.size(), buf, op);
 }
 
-/// AllReduce: reduce to rank 0, then broadcast. Every rank ends up with the
-/// identical (bit-for-bit) combined buffer. Under the hierarchical
-/// schedule the same bits come from the two-level path instead (intra
-/// zero-copy fold, size-adaptive inter stage); the flat path is the A/B
-/// baseline.
-template <typename T, typename Op>
-void allreduce(Comm& comm, std::span<T> buf, Op op) {
-  detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kAllreduce,
-                                buf.size_bytes());
-  if (comm.size() > 1 &&
-      default_collective_schedule() == CollectiveSchedule::kHierarchical) {
-    detail::hier_allreduce(comm, buf, op, default_hierarchy_spec());
-    return;
-  }
-  reduce(comm, 0, buf, op);
-  bcast(comm, 0, buf);
-}
-
-/// Convenience: sum-allreduce.
-template <typename T>
-void allreduce_sum(Comm& comm, std::span<T> buf) {
-  allreduce(comm, buf, ops::Plus{});
-}
-
-/// AllReduce of MinLoc pairs: after the call every rank holds, per element,
-/// the smallest (value, index) contribution across ranks.
-inline void allreduce_minloc(Comm& comm, std::span<MinLoc> buf) {
-  allreduce(comm, buf, ops::Min{});
-}
-
-/// AllReduce of MinLoc2 records: per element, every rank ends up with the
-/// global best (value, index) and the exact global second-best distance.
-inline void allreduce_minloc2(Comm& comm, std::span<MinLoc2> buf) {
-  allreduce(comm, buf, CombineMinLoc2{});
-}
-
-/// Split-phase allreduce for software-pipelined loops: start() posts every
-/// up-tree send this rank can issue without waiting (a childless rank's
-/// contribution goes into flight immediately) and reserves the op's tags;
-/// finish() performs the remaining child receives, the walk to the root
-/// and the broadcast down, then leaves `buf` holding the combined result.
-/// The fold is byte-for-byte the root-0 binomial association of
-/// allreduce() = reduce(root 0) + bcast(root 0) — same child order, same
-/// operand order — so pipelined and unpipelined calls produce identical
-/// bits.
+/// Split-phase allreduce for software-pipelined loops: start() posts
+/// every up-tree send this rank can issue without waiting and reserves the
+/// op's tags — a group member's entire up phase is one pointer publish, so
+/// its contribution goes into flight immediately; a leader's receives all
+/// block, so its whole schedule defers to finish(). finish() leaves `buf`
+/// holding the combined result, bit-identical to allreduce() on the same
+/// communicator. `buf` must stay untouched between the phases: the leader
+/// reads member buffers in place.
 ///
 /// Discipline: every rank must call start/finish for the same ops in the
 /// same interleaved order (start t; start t+1; finish t; ... is fine —
@@ -816,115 +539,96 @@ class SplitAllreduce {
     comm_ = &comm;
     buf_ = buf;
     op_ = op;
-    hier_ = comm.size() > 1 && default_collective_schedule() ==
-                                   CollectiveSchedule::kHierarchical;
-    if (hier_) {
-      // Hierarchical split-phase: a member's entire up phase is one
-      // pointer publish, so its contribution goes into flight immediately
-      // — the overlap start() exists for. The leader's receives all
-      // block, so its whole schedule defers to finish(). `buf` must stay
-      // untouched between the phases: the leader reads it in place.
-      spec_ = default_hierarchy_spec();
-      layout_ = detail::hier_layout(comm.rank(), comm.size(),
-                                    spec_.ranks_per_group);
-      tags_ = detail::reserve_hier_tags(comm);
-      if (layout_.local != 0) {
-        detail::publish_ptr(comm, layout_.leader, tags_.ptr, buf_.data());
-      }
+    if (comm.size() <= 1) {
       return;
     }
-    reduce_tag_ = comm.next_collective_tag();
-    bcast_tag_ = comm.next_collective_tag();
-    resume_step_ = 0;  // 0 = up phase already complete
-    const int size = comm.size();
-    if (size <= 1) {
-      return;
-    }
-    const int vrank = comm.rank();  // root is rank 0: vrank == rank
-    for (int step = 1; step < size; step <<= 1) {
-      if (vrank & step) {
-        // Everything below this bit is already folded in (no children
-        // remain), so the contribution can leave now — this send is the
-        // overlap start() exists for.
-        comm.send<T>(detail::binomial_parent(vrank), reduce_tag_,
-                     std::span<const T>(buf_.data(), buf_.size()));
-        return;
-      }
-      if (vrank + step < size) {
-        resume_step_ = step;  // first blocking child recv: defer to finish
-        return;
-      }
+    layout_ = detail::hier_layout(comm);
+    tags_ = detail::reserve_hier_tags(comm);
+    if (layout_.local != 0) {
+      detail::publish_ptr(comm, layout_.leader, tags_.ptr, buf_.data());
     }
   }
 
   void finish() {
     SWHKM_REQUIRE(active(), "SplitAllreduce::finish without a start");
     Comm& comm = *comm_;
+    comm_ = nullptr;
     detail::CollectiveScope scope(comm, telemetry::CollectiveKind::kAllreduce,
                                   buf_.size_bytes());
-    if (hier_) {
-      detail::hier_allreduce_finish(comm, layout_, tags_, spec_, buf_, op_);
-      comm_ = nullptr;
+    if (comm.size() <= 1) {
       return;
     }
-    const int size = comm.size();
-    const int vrank = comm.rank();
-    if (size > 1) {
-      // Resume reduce()'s loop exactly where start() left off: identical
-      // step sequence, child order and operand order keep the association.
-      if (resume_step_ > 0) {
-        for (int step = resume_step_; step < size; step <<= 1) {
-          if (vrank & step) {
-            comm.send<T>(detail::binomial_parent(vrank), reduce_tag_,
-                         std::span<const T>(buf_.data(), buf_.size()));
-            break;
-          }
-          const int child = vrank + step;
-          if (child < size) {
-            std::vector<T> incoming = comm.recv<T>(child, reduce_tag_);
-            SWHKM_REQUIRE(incoming.size() == buf_.size(),
-                          "split allreduce payload size mismatch");
-            for (std::size_t i = 0; i < buf_.size(); ++i) {
-              op_(buf_[i], incoming[i]);
-            }
-          }
-        }
-      }
-      // Broadcast down from rank 0 — bcast()'s body with the reserved tag.
-      int top = 1;
-      while (top < size) {
-        top <<= 1;
-      }
-      const int lsb = vrank == 0 ? top : (vrank & (-vrank));
-      if (vrank != 0) {
-        std::vector<T> incoming =
-            comm.recv<T>(detail::binomial_parent(vrank), bcast_tag_);
-        SWHKM_REQUIRE(incoming.size() == buf_.size(),
-                      "split allreduce bcast size mismatch");
-        std::copy(incoming.begin(), incoming.end(), buf_.begin());
-      }
-      for (int m = lsb >> 1; m >= 1; m >>= 1) {
-        if (vrank + m < size) {
-          comm.send<T>(vrank + m, bcast_tag_,
-                       std::span<const T>(buf_.data(), buf_.size()));
-        }
-      }
+    const detail::HierLayout& l = layout_;
+    if (l.local != 0) {
+      // Parked here until the leader's fold + inter stage finish; the
+      // publish in start() keeps buf_ valid for the leader to read.
+      const T* result = detail::recv_ptr<T>(comm, l.leader, tags_.down);
+      std::copy(result, result + buf_.size(), buf_.begin());
+      comm.send_value<std::uint8_t>(l.leader, tags_.ack, 1);
+      return;
     }
-    comm_ = nullptr;
+    if (l.group_size > 1) {
+      detail::hier_intra_fold(comm, l, tags_, buf_, op_);
+    }
+    const bool rsag = detail::inter_uses_rsag(
+        l, buf_.size_bytes(), comm.hierarchy().crossover_bytes);
+    if (rsag) {
+      detail::hier_inter_rsag(comm, l, tags_, buf_, op_);
+    } else if (l.num_groups > 1) {
+      detail::tree_reduce(comm, tags_.inter_a, 0, l.width, l.num_groups, buf_,
+                          op_);
+      detail::tree_bcast(comm, tags_.inter_b, 0, l.width, l.num_groups, buf_);
+    }
+    for (int j = 1; j < l.group_size; ++j) {
+      detail::publish_ptr(comm, l.leader + j, tags_.down, buf_.data());
+    }
+    for (int j = 1; j < l.group_size; ++j) {
+      (void)comm.recv_value<std::uint8_t>(l.leader + j, tags_.ack);
+    }
+    detail::tick_hier_counters(
+        comm,
+        rsag ? "swmpi.hier.allreduce.algo_rsag"
+             : "swmpi.hier.allreduce.algo_tree",
+        "swmpi.hier.allreduce.intra_rounds",
+        "swmpi.hier.allreduce.inter_rounds",
+        2 * detail::ceil_log2(l.group_size),
+        l.num_groups > 1 ? 2 * detail::ceil_log2(l.num_groups) : 0);
   }
 
  private:
   Comm* comm_ = nullptr;
   std::span<T> buf_;
   Op op_{};
-  int reduce_tag_ = 0;
-  int bcast_tag_ = 0;
-  int resume_step_ = 0;
-  bool hier_ = false;  ///< schedule captured at start(); finish() replays it
-  HierarchySpec spec_{};
   detail::HierLayout layout_{};
   detail::HierTags tags_{};
 };
+
+/// AllReduce on the communicator's two-level schedule: intra-group
+/// zero-copy fold into the leaders, a size-adaptive inter stage among
+/// leaders, then the result pointer fans back down and members copy it
+/// out. Every rank ends up with the identical (bit-for-bit) combined
+/// buffer, folded in the root-0 binomial association for every spec and
+/// world shape (DESIGN.md §12); under the default width-1 spec it is
+/// reduce(root 0) + bcast(root 0), send for send. The blocking form of
+/// SplitAllreduce.
+template <typename T, typename Op>
+void allreduce(Comm& comm, std::span<T> buf, Op op) {
+  SplitAllreduce<T, Op> split;
+  split.start(comm, buf, op);
+  split.finish();
+}
+
+/// Convenience: sum-allreduce.
+template <typename T>
+void allreduce_sum(Comm& comm, std::span<T> buf) {
+  allreduce(comm, buf, ops::Plus{});
+}
+
+/// AllReduce of MinLoc2 records: per element, every rank ends up with the
+/// global best (value, index) and the exact global second-best distance.
+inline void allreduce_minloc2(Comm& comm, std::span<MinLoc2> buf) {
+  allreduce(comm, buf, CombineMinLoc2{});
+}
 
 /// s-step deferred reduction: accumulate several tiles' combine records in
 /// one store and ride them on a single SplitAllreduce, cutting collective
@@ -1035,11 +739,14 @@ std::vector<T> allgather(Comm& comm, const T& mine) {
 /// receives the rank-order concatenation of all contributions. `counts`
 /// must be identical on every rank.
 ///
-/// Power-of-two sizes run the recursive-doubling hypercube exchange —
-/// log2(size) rounds, each sending the contiguous aligned group of blocks
-/// the rank has assembled so far — so the latency-critical round count is
-/// logarithmic. Other sizes fall back to a direct exchange (send never
-/// blocks in this runtime, so the all-to-all post is deadlock-free).
+/// Two-level, like allreduce: members publish their contribution
+/// pointers, each leader assembles its group block straight from the
+/// member buffers, the leaders exchange blocks — recursive doubling
+/// (log2 rounds, each sending the contiguous aligned run of blocks
+/// assembled so far) when the group count is a power of two, a direct
+/// exchange otherwise (send never blocks in this runtime, so the
+/// all-to-all post is deadlock-free) — and the result fans back down by
+/// pointer. Under the default width-1 spec every rank is a leader.
 template <typename T>
 std::vector<T> allgatherv(Comm& comm, std::span<const T> mine,
                           std::span<const std::size_t> counts) {
@@ -1063,47 +770,80 @@ std::vector<T> allgatherv(Comm& comm, std::span<const T> mine,
   if (size == 1) {
     return all;
   }
-  if (default_collective_schedule() == CollectiveSchedule::kHierarchical) {
-    detail::hier_allgatherv_fill(
-        comm, mine,
-        std::span<const std::size_t>(offsets.data(), offsets.size()), all,
-        default_hierarchy_spec());
+  const detail::HierLayout l = detail::hier_layout(comm);
+  const detail::HierTags tags = detail::reserve_hier_tags(comm);
+  if (l.local != 0) {
+    detail::publish_ptr(comm, l.leader, tags.ptr, mine.data());
+    const T* result = detail::recv_ptr<T>(comm, l.leader, tags.down);
+    std::copy(result, result + all.size(), all.begin());
+    comm.send_value<std::uint8_t>(l.leader, tags.ack, 1);
     return all;
   }
-  const int tag = comm.next_collective_tag();
-  if ((size & (size - 1)) == 0) {
-    // Recursive doubling: before the round for bit `s`, this rank holds
-    // the aligned block group [rank & ~(s-1), +s) — contiguous in `all`,
-    // so rounds send straight out of the output buffer without packing.
-    for (int s = 1; s < size; s <<= 1) {
-      const int peer = rank ^ s;
-      const int base = rank & ~(s - 1);
-      const int pbase = peer & ~(s - 1);
-      comm.send<T>(peer, tag,
-                   std::span<const T>(all.data() + offsets[base],
-                                      offsets[base + s] - offsets[base]));
-      const std::vector<T> incoming = comm.recv<T>(peer, tag);
-      SWHKM_REQUIRE(incoming.size() == offsets[pbase + s] - offsets[pbase],
+  for (int j = 1; j < l.group_size; ++j) {
+    const int r = l.leader + j;
+    const T* src = detail::recv_ptr<T>(comm, r, tags.ptr);
+    std::copy(src, src + (offsets[r + 1] - offsets[r]),
+              all.begin() + static_cast<std::ptrdiff_t>(offsets[r]));
+  }
+  const int ng = l.num_groups;
+  const auto goff = [&](int q) {
+    return offsets[std::min(static_cast<std::size_t>(q) *
+                                static_cast<std::size_t>(l.width),
+                            static_cast<std::size_t>(size))];
+  };
+  const int g = l.group;
+  const bool doubling = ng > 1 && (ng & (ng - 1)) == 0;
+  if (doubling) {
+    // Before the round for bit `s` this leader holds the aligned run of
+    // group blocks [g & ~(s-1), +s) — contiguous in `all`, so rounds send
+    // straight out of the output buffer without packing.
+    for (int s = 1; s < ng; s <<= 1) {
+      const int peer_group = g ^ s;
+      const int peer = peer_group * l.width;
+      const int base = g & ~(s - 1);
+      const int pbase = peer_group & ~(s - 1);
+      comm.send<T>(peer, tags.inter_a,
+                   std::span<const T>(all.data() + goff(base),
+                                      goff(base + s) - goff(base)));
+      const std::vector<T> incoming = comm.recv<T>(peer, tags.inter_a);
+      SWHKM_REQUIRE(incoming.size() == goff(pbase + s) - goff(pbase),
                     "allgatherv round length mismatch");
       std::copy(incoming.begin(), incoming.end(),
-                all.begin() + static_cast<std::ptrdiff_t>(offsets[pbase]));
+                all.begin() + static_cast<std::ptrdiff_t>(goff(pbase)));
     }
-    return all;
-  }
-  for (int q = 0; q < size; ++q) {
-    if (q != rank) {
-      comm.send<T>(q, tag, mine);
+  } else if (ng > 1) {
+    for (int q = 0; q < ng; ++q) {
+      if (q != g) {
+        comm.send<T>(q * l.width, tags.inter_a,
+                     std::span<const T>(all.data() + goff(g),
+                                        goff(g + 1) - goff(g)));
+      }
+    }
+    for (int q = 0; q < ng; ++q) {
+      if (q == g) {
+        continue;
+      }
+      const std::vector<T> incoming = comm.recv<T>(q * l.width, tags.inter_a);
+      SWHKM_REQUIRE(incoming.size() == goff(q + 1) - goff(q),
+                    "allgatherv block length mismatch");
+      std::copy(incoming.begin(), incoming.end(),
+                all.begin() + static_cast<std::ptrdiff_t>(goff(q)));
     }
   }
-  for (int q = 0; q < size; ++q) {
-    if (q == rank) {
-      continue;
-    }
-    const std::vector<T> incoming = comm.recv<T>(q, tag);
-    SWHKM_REQUIRE(incoming.size() == counts[q], "allgatherv length mismatch");
-    std::copy(incoming.begin(), incoming.end(),
-              all.begin() + static_cast<std::ptrdiff_t>(offsets[q]));
+  for (int j = 1; j < l.group_size; ++j) {
+    detail::publish_ptr(comm, l.leader + j, tags.down, all.data());
   }
+  for (int j = 1; j < l.group_size; ++j) {
+    (void)comm.recv_value<std::uint8_t>(l.leader + j, tags.ack);
+  }
+  detail::tick_hier_counters(
+      comm,
+      doubling ? "swmpi.hier.allgatherv.algo_doubling"
+               : "swmpi.hier.allgatherv.algo_direct",
+      "swmpi.hier.allgatherv.intra_rounds",
+      "swmpi.hier.allgatherv.inter_rounds",
+      2 * detail::ceil_log2(l.group_size),
+      ng > 1 ? (doubling ? detail::ceil_log2(ng) : std::uint32_t{1}) : 0);
   return all;
 }
 

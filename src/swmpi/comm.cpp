@@ -15,8 +15,12 @@ namespace detail {
 constexpr std::size_t kRetainedSendCapacity = 64;
 
 World::World(int world_size, FaultPlan* faults,
-             telemetry::MetricsRegistry* metrics_registry)
-    : size(world_size), fault_plan(faults), metrics(metrics_registry) {
+             telemetry::MetricsRegistry* metrics_registry,
+             const HierarchySpec& hierarchy_spec)
+    : size(world_size),
+      fault_plan(faults),
+      metrics(metrics_registry),
+      hierarchy(hierarchy_spec) {
   boxes.reserve(static_cast<std::size_t>(world_size));
   for (int r = 0; r < world_size; ++r) {
     // One SPSC ring lane per (sender, receiver) pair: each box gets one
@@ -296,7 +300,8 @@ Comm Comm::split(int color, int key) {
     if (it == world_->splits.live.end()) {
       sub = std::make_shared<detail::World>(static_cast<int>(members.size()),
                                             world_->fault_plan,
-                                            world_->metrics);
+                                            world_->metrics,
+                                            world_->hierarchy);
       sub->pickups_remaining = static_cast<int>(members.size());
       world_->splits.live.emplace(registry_key, sub);
     } else {
@@ -322,9 +327,11 @@ Comm Comm::split(int color, int key) {
 }
 
 std::vector<Comm> Comm::create_world(int size, FaultPlan* faults,
-                                     telemetry::MetricsRegistry* metrics) {
+                                     telemetry::MetricsRegistry* metrics,
+                                     const HierarchySpec& hierarchy) {
   SWHKM_REQUIRE(size >= 1, "world needs at least one rank");
-  auto world = std::make_shared<detail::World>(size, faults, metrics);
+  auto world =
+      std::make_shared<detail::World>(size, faults, metrics, hierarchy);
   std::vector<Comm> comms;
   comms.reserve(static_cast<std::size_t>(size));
   for (int r = 0; r < size; ++r) {

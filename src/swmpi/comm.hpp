@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -21,6 +22,26 @@ namespace swhkm::swmpi {
 /// Tags >= kReservedTagBase are used internally by the collectives; user
 /// point-to-point traffic must stay below it.
 inline constexpr int kReservedTagBase = 1 << 24;
+
+/// Shape of a communicator's collective schedule (DESIGN.md §12). Every
+/// reduction-shaped collective runs in two levels: an intra stage that
+/// folds each group of `ranks_per_group` consecutive ranks into its
+/// leader, then an inter stage among the leaders. The intra stage folds
+/// within aligned power-of-two blocks of that width, so any value —
+/// including non-powers of two and values larger than the world — yields
+/// a valid grouping. `crossover_bytes` is the payload size above which the
+/// inter stage switches from the latency-optimal binomial tree to the
+/// bandwidth-optimal reduce_scatter+allgather exchange.
+///
+/// The default-constructed spec is the flat schedule: one rank per group
+/// and a crossover no payload exceeds, so every rank is a leader and the
+/// inter stage is the whole-world root-0 binomial tree, message for
+/// message. The engines pass supernode-wide groups (cgs_per_node *
+/// supernode_nodes) and MachineConfig::collective_crossover_bytes().
+struct HierarchySpec {
+  int ranks_per_group = 1;
+  std::size_t crossover_bytes = std::numeric_limits<std::size_t>::max();
+};
 
 namespace detail {
 
@@ -66,7 +87,8 @@ struct SplitRegistry {
 /// Shared state of one communicator: one mailbox per member rank.
 struct World {
   explicit World(int size, FaultPlan* faults = nullptr,
-                 telemetry::MetricsRegistry* metrics_registry = nullptr);
+                 telemetry::MetricsRegistry* metrics_registry = nullptr,
+                 const HierarchySpec& hierarchy = {});
 
   int size;
   std::vector<std::unique_ptr<Mailbox>> boxes;
@@ -81,6 +103,11 @@ struct World {
   /// rank's traffic lands in one shard no matter which sub-communicator
   /// carried it.
   telemetry::MetricsRegistry* metrics = nullptr;
+
+  /// Collective schedule of every collective on this communicator; fixed
+  /// at launch and inherited by sub-worlds, so concurrent runs in one
+  /// process never see each other's schedule.
+  HierarchySpec hierarchy;
 
   /// How many members still have to pick this world up out of the parent's
   /// split registry (only meaningful while registered there).
@@ -219,13 +246,19 @@ class Comm {
   /// hang named metrics off it too.
   telemetry::MetricsShard* metrics_shard() const { return tshard_; }
 
+  /// The collective schedule this communicator was launched with (split()
+  /// inherits it).
+  const HierarchySpec& hierarchy() const { return world_->hierarchy; }
+
   /// Create the root communicator for `size` ranks; runtime.cpp hands each
   /// spawned thread its rank's handle. `faults` (not owned, may be null)
   /// arms deterministic fault injection for the whole communicator tree;
-  /// `metrics` (not owned, may be null) arms wall-clock instrumentation.
+  /// `metrics` (not owned, may be null) arms wall-clock instrumentation;
+  /// `hierarchy` is the collective schedule of the whole tree.
   static std::vector<Comm> create_world(
       int size, FaultPlan* faults = nullptr,
-      telemetry::MetricsRegistry* metrics = nullptr);
+      telemetry::MetricsRegistry* metrics = nullptr,
+      const HierarchySpec& hierarchy = {});
 
   /// Poison this communicator and all its sub-communicators; any rank
   /// blocked in recv wakes up with RuntimeFault. Called by the SPMD

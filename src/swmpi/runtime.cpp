@@ -1,6 +1,7 @@
 #include "swmpi/runtime.hpp"
 
 #include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -8,8 +9,32 @@
 
 namespace swhkm::swmpi {
 
+namespace {
+
+std::mutex g_default_mutex;
+HierarchySpec g_default_spec;
+
+}  // namespace
+
+HierarchySpec default_hierarchy_spec() {
+  std::lock_guard lock(g_default_mutex);
+  return g_default_spec;
+}
+
+namespace detail {
+
+HierarchySpec exchange_default_hierarchy_spec(const HierarchySpec& spec) {
+  std::lock_guard lock(g_default_mutex);
+  const HierarchySpec prev = g_default_spec;
+  g_default_spec = spec;
+  return prev;
+}
+
+}  // namespace detail
+
 void run_spmd(int nranks, const std::function<void(Comm&)>& body,
-              FaultPlan* faults, telemetry::MetricsRegistry* metrics) {
+              FaultPlan* faults, telemetry::MetricsRegistry* metrics,
+              std::optional<HierarchySpec> hierarchy) {
   SWHKM_REQUIRE(nranks >= 1, "need at least one rank");
   // A blackholed send with no watchdog is an undetectable deadlock: the
   // receiver blocks forever on a message nobody will ever push. Reject the
@@ -20,7 +45,9 @@ void run_spmd(int nranks, const std::function<void(Comm&)>& body,
       "a FaultPlan with armed drop_send events needs a watchdog() timeout — "
       "a dropped message with no recv watchdog deadlocks the receiver "
       "silently");
-  std::vector<Comm> comms = Comm::create_world(nranks, faults, metrics);
+  std::vector<Comm> comms = Comm::create_world(
+      nranks, faults, metrics,
+      hierarchy ? *hierarchy : default_hierarchy_spec());
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
 
   auto run_rank = [&](int rank) {

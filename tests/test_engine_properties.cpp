@@ -114,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(AllLevels, DeterminismSweep,
 /// Cross-slice tie-breaking: centroids at -1 and +1 (seeded from rows 0
 /// and 1 via kFirstK) land in *different* slices for m_group=2 /
 /// m'_group=2, and every sample at 0 is exactly equidistant to both — the
-/// slice argmin combine (MinLoc ordering for Level 3's batched
+/// slice argmin combine (MinLoc2 ordering for Level 3's batched
 /// allreduce) must resolve each tie to the smaller global index, like the
 /// serial left-to-right scan.
 TEST(SliceTieBreak, EqualDistanceAcrossSlicesResolvesToLowerIndex) {
@@ -146,7 +146,7 @@ TEST(SliceTieBreak, EqualDistanceAcrossSlicesResolvesToLowerIndex) {
 
 /// Ragged slices: k smaller than the slice-group size leaves some ranks
 /// holding an empty centroid slice — they must contribute the neutral
-/// MinLoc (and nothing to the accumulator) without perturbing results.
+/// MinLoc2 (and nothing to the accumulator) without perturbing results.
 TEST(RaggedSlices, EmptySliceRanksAreHarmless) {
   const data::Dataset ds = data::make_uniform(120, 3, 21);
   KmeansConfig config;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <exception>
 #include <limits>
+#include <thread>
 
 #include "core/hkmeans.hpp"
 #include "util/error.hpp"
@@ -330,6 +334,80 @@ TEST(Engines, CostTalliesScaleWithMachineShrink) {
       run_level(Level::kLevel1, ds, config, MachineConfig::tiny(4, 4, 8192));
   EXPECT_GT(small.last_iteration_cost.compute_s,
             large.last_iteration_cost.compute_s);
+}
+
+/// Two fits at once in one process, on different machines and with
+/// different hier_collectives, repeated with the toggles swapped: each
+/// run's collective schedule belongs to its own communicator, so neither
+/// may pick up the other's group layout mid-run. (A process-wide schedule
+/// switch let the short runs' ranks adopt the long run's grouping and read
+/// a non-pointer payload as a published buffer pointer, or wait on a
+/// message their peers' schedule never sends.) Both must stay
+/// byte-identical to serial Lloyd every time.
+TEST(ConcurrentFits, OwnSchedulesStayBitIdenticalToSerial) {
+  constexpr int kRepetitions = 6;
+  const data::Dataset ds = data::make_blobs(1001, 4, 5, 77);
+  KmeansConfig config;
+  config.k = 7;
+  config.max_iterations = 12;
+  const KmeansResult ref = lloyd_serial(ds, config);
+  // 16 CGs on two supernodes: a live inter-supernode stage when hier.
+  const MachineConfig wide = MachineConfig::tiny(8, 4, 8192);
+  // 2 CGs: one intra group when hier.
+  const MachineConfig narrow = MachineConfig::tiny(1, 4, 8192);
+  ASSERT_GT(wide.num_supernodes(), 1u);
+
+  const auto expect_identical = [&](const KmeansResult& got,
+                                    const char* what, int rep) {
+    EXPECT_EQ(got.iterations, ref.iterations) << what << " rep " << rep;
+    EXPECT_EQ(got.assignments, ref.assignments) << what << " rep " << rep;
+    ASSERT_EQ(got.centroids.size(), ref.centroids.size());
+    EXPECT_EQ(std::memcmp(got.centroids.data(), ref.centroids.data(),
+                          got.centroids.size() * sizeof(float)),
+              0)
+        << what << " rep " << rep;
+  };
+
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    KmeansConfig long_config = config;
+    KmeansConfig short_config = config;
+    long_config.hier_collectives = rep % 2 == 0;
+    short_config.hier_collectives = rep % 2 != 0;
+
+    std::atomic<bool> long_done{false};
+    KmeansResult long_result;
+    std::exception_ptr long_error;
+    std::thread long_fit([&] {
+      try {
+        long_result =
+            run_level(Level::kLevel3, ds, long_config, wide, 0, 4);
+      } catch (...) {
+        long_error = std::current_exception();
+      }
+      long_done.store(true);
+    });
+    std::vector<KmeansResult> short_results;
+    std::exception_ptr short_error;
+    try {
+      do {
+        short_results.push_back(
+            run_level(Level::kLevel1, ds, short_config, narrow));
+      } while (!long_done.load());
+    } catch (...) {
+      short_error = std::current_exception();
+    }
+    long_fit.join();
+
+    for (const std::exception_ptr& error : {long_error, short_error}) {
+      if (error) {
+        std::rethrow_exception(error);
+      }
+    }
+    expect_identical(long_result, "level3 on 16 CGs", rep);
+    for (const KmeansResult& got : short_results) {
+      expect_identical(got, "level1 on 2 CGs", rep);
+    }
+  }
 }
 
 }  // namespace

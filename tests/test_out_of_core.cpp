@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "core/init.hpp"
 #include "core/lloyd.hpp"
@@ -124,6 +126,39 @@ TEST(OutOfCore, DimensionMismatchRejected) {
   const data::BinaryDatasetReader reader(path);
   EXPECT_THROW(core::assign_out_of_core(reader, util::Matrix(2, 7), 8),
                InvalidArgument);
+}
+
+TEST(OutOfCore, NonFiniteSampleRejectedUnderEveryInit) {
+  // A Dataset cannot hold a NaN, so poke one into the saved file: sample
+  // 50, dimension 2 of a 200 x 4 blob set. Every init must surface the
+  // same typed error the in-memory Dataset raises, not NaN centroids.
+  const data::Dataset ds = data::make_blobs(200, 4, 3, 11);
+  const std::string path = write_temp_dataset(ds, "ooc_nan.bin");
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    file.seekp(24 + static_cast<std::streamoff>((50 * 4 + 2) * sizeof(float)));
+    file.write(reinterpret_cast<const char*>(&nan), sizeof(nan));
+    ASSERT_TRUE(static_cast<bool>(file));
+  }
+  const data::BinaryDatasetReader reader(path);
+  for (const core::InitMethod init :
+       {core::InitMethod::kFirstK, core::InitMethod::kRandom,
+        core::InitMethod::kPlusPlus}) {
+    core::KmeansConfig config;
+    config.k = 3;
+    config.max_iterations = 5;
+    config.init = init;
+    try {
+      (void)core::lloyd_out_of_core(reader, config, 64);
+      ADD_FAILURE() << "init " << static_cast<int>(init)
+                    << " returned instead of rejecting the NaN";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("sample 50, dimension 2 is NaN"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <thread>
 
@@ -241,20 +242,35 @@ TEST_P(CollectiveTest, AllreduceMaxAndMin) {
 TEST_P(CollectiveTest, MinlocFindsGlobalWinner) {
   const int size = GetParam();
   run_spmd(size, [&](Comm& comm) {
-    // Rank r contributes value |r - 2| so rank 2 (or nearest) wins.
-    MinLoc mine{std::abs(comm.rank() - 2) + 0.5,
-                static_cast<std::uint64_t>(comm.rank())};
-    allreduce_minloc(comm, std::span<MinLoc>(&mine, 1));
+    // Rank r contributes value |r - 2| so rank 2 (or nearest) wins; the
+    // runner-up is the smallest value any other rank contributed.
+    const auto value = [](int r) { return std::abs(r - 2) + 0.5; };
+    MinLoc2 mine{value(comm.rank()), static_cast<std::uint64_t>(comm.rank()),
+                 std::numeric_limits<double>::max()};
+    allreduce_minloc2(comm, std::span<MinLoc2>(&mine, 1));
     const int expected = size <= 2 ? size - 1 : 2;
     EXPECT_EQ(mine.index, static_cast<std::uint64_t>(expected));
+    EXPECT_EQ(mine.value, value(expected));
+    double runner = std::numeric_limits<double>::max();
+    for (int r = 0; r < size; ++r) {
+      if (r != expected) {
+        runner = std::min(runner, value(r));
+      }
+    }
+    EXPECT_EQ(mine.second, runner);
   });
 }
 
 TEST_P(CollectiveTest, MinlocTieBreaksTowardLowerIndex) {
-  run_spmd(GetParam(), [](Comm& comm) {
-    MinLoc mine{1.0, static_cast<std::uint64_t>(comm.rank())};
-    allreduce_minloc(comm, std::span<MinLoc>(&mine, 1));
+  const int size = GetParam();
+  run_spmd(size, [&](Comm& comm) {
+    MinLoc2 mine{1.0, static_cast<std::uint64_t>(comm.rank()),
+                 std::numeric_limits<double>::max()};
+    allreduce_minloc2(comm, std::span<MinLoc2>(&mine, 1));
     EXPECT_EQ(mine.index, 0u);
+    // The tied losers' distance is the runner-up.
+    EXPECT_EQ(mine.second,
+              size > 1 ? 1.0 : std::numeric_limits<double>::max());
   });
 }
 

@@ -12,6 +12,7 @@
 #include "swmpi/mailbox.hpp"
 #include "swmpi/runtime.hpp"
 #include "swmpi/spsc_ring.hpp"
+#include "telemetry/registry.hpp"
 #include "util/error.hpp"
 
 namespace swhkm::swmpi {
@@ -234,29 +235,37 @@ TEST_P(SplitAllreduceTest, TwoOutstandingOpsRetireInOrder) {
   // t's finishes, so two ops are briefly in flight back-to-back.
   const int size = GetParam();
   run_spmd(size, [&](Comm& comm) {
-    std::vector<MinLoc> a(3);
-    std::vector<MinLoc> b(3);
+    // Cross-rank ties on b's values so the index tie-break decides.
+    constexpr double kNone = std::numeric_limits<double>::max();
+    std::vector<MinLoc2> a(3);
+    std::vector<MinLoc2> b(3);
     for (std::size_t i = 0; i < a.size(); ++i) {
       a[i] = {static_cast<double>((comm.rank() + 1) * (i + 1)),
-              static_cast<std::uint64_t>(comm.rank())};
-      b[i] = {static_cast<double>(size - comm.rank()) + 0.5 * i,
-              static_cast<std::uint64_t>(comm.rank())};
+              static_cast<std::uint64_t>(comm.rank()), kNone};
+      b[i] = {static_cast<double>(comm.rank() % 2) + 0.5 * i,
+              static_cast<std::uint64_t>(comm.rank()), kNone};
     }
-    std::vector<MinLoc> a_ref = a;
-    std::vector<MinLoc> b_ref = b;
-    SplitAllreduce<MinLoc, ops::Min> op_a;
-    SplitAllreduce<MinLoc, ops::Min> op_b;
-    op_a.start(comm, std::span<MinLoc>(a), ops::Min{});
-    op_b.start(comm, std::span<MinLoc>(b), ops::Min{});
+    std::vector<MinLoc2> a_ref = a;
+    std::vector<MinLoc2> b_ref = b;
+    SplitAllreduce<MinLoc2, CombineMinLoc2> op_a;
+    SplitAllreduce<MinLoc2, CombineMinLoc2> op_b;
+    op_a.start(comm, std::span<MinLoc2>(a), CombineMinLoc2{});
+    op_b.start(comm, std::span<MinLoc2>(b), CombineMinLoc2{});
     op_a.finish();
     op_b.finish();
-    allreduce_minloc(comm, std::span<MinLoc>(a_ref));
-    allreduce_minloc(comm, std::span<MinLoc>(b_ref));
+    allreduce_minloc2(comm, std::span<MinLoc2>(a_ref));
+    allreduce_minloc2(comm, std::span<MinLoc2>(b_ref));
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].value, a_ref[i].value);
       EXPECT_EQ(a[i].index, a_ref[i].index);
+      EXPECT_EQ(a[i].second, a_ref[i].second);
       EXPECT_EQ(b[i].value, b_ref[i].value);
       EXPECT_EQ(b[i].index, b_ref[i].index);
+      EXPECT_EQ(b[i].second, b_ref[i].second);
+      // Rank 0 contributes the smallest value of both records and the
+      // lowest index among b's even-rank ties.
+      EXPECT_EQ(a[i].index, 0u);
+      EXPECT_EQ(b[i].index, 0u);
     }
   });
 }
@@ -323,9 +332,9 @@ TEST_P(DeferredCombineTest, EmptySpanSkipsTheCollective) {
   // harmless no-op — this is what lets the engines charge zero rounds.
   const int size = GetParam();
   run_spmd(size, [&](Comm& comm) {
-    DeferredCombine<MinLoc, ops::Min> dc;
+    DeferredCombine<MinLoc2, CombineMinLoc2> dc;
     dc.reset();
-    EXPECT_FALSE(dc.launch(comm, ops::Min{}));
+    EXPECT_FALSE(dc.launch(comm, CombineMinLoc2{}));
     EXPECT_TRUE(dc.launched());
     EXPECT_FALSE(dc.active());
     dc.finish();
@@ -339,15 +348,15 @@ TEST_P(DeferredCombineTest, EmptySpanSkipsTheCollective) {
 
 TEST(DeferredCombine, ClaimAfterLaunchRejected) {
   run_spmd(1, [](Comm& comm) {
-    DeferredCombine<MinLoc, ops::Min> dc;
+    DeferredCombine<MinLoc2, CombineMinLoc2> dc;
     dc.reset();
     dc.claim(2);
-    dc.launch(comm, ops::Min{});
+    dc.launch(comm, CombineMinLoc2{});
     EXPECT_THROW(dc.claim(1), swhkm::Error);
     dc.finish();
     dc.reset();  // legal again after finish
     dc.claim(1);
-    dc.launch(comm, ops::Min{});
+    dc.launch(comm, CombineMinLoc2{});
     dc.finish();
   });
 }
@@ -378,25 +387,28 @@ std::vector<std::byte> to_bytes(const std::vector<T>& v) {
   return b;
 }
 
-/// Run `body` on `world` ranks under (schedule, spec) and collect each
-/// rank's serialized result, so a flat-schedule reference run and a
-/// hierarchical run of the same body can be compared bit for bit.
-template <typename Fn>
-std::vector<std::vector<std::byte>> run_under_schedule(
-    int world, CollectiveSchedule sched, const HierarchySpec& spec,
-    Fn&& body) {
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(world));
-  const ScopedCollectiveSchedule guard(sched, spec);
-  run_spmd(world, [&](Comm& comm) {
-    out[static_cast<std::size_t>(comm.rank())] = body(comm);
-  });
-  return out;
+/// The reference every schedule must reproduce, written out serially so
+/// it shares no code with the collectives under test: the root-0 binomial
+/// fold of every rank's input — for steps s = 1, 2, 4, … rank r (a
+/// multiple of 2s) absorbs rank r + s, its own partial on the left.
+template <typename T, typename Op>
+std::vector<T> serial_binomial_fold(std::vector<std::vector<T>> parts,
+                                    Op op) {
+  const std::size_t world = parts.size();
+  for (std::size_t s = 1; s < world; s <<= 1) {
+    for (std::size_t r = 0; r + s < world; r += 2 * s) {
+      for (std::size_t i = 0; i < parts[r].size(); ++i) {
+        op(parts[r][i], parts[r + s][i]);
+      }
+    }
+  }
+  return parts[0];
 }
 
 /// (world size, ranks_per_group selector); selector 0 means "the whole
 /// world in one group". Covers non-pow2 worlds, groups that do not divide
-/// the world (3), degenerate one-rank groups (the flat pattern expressed
-/// hierarchically), and a single all-rank group (no inter stage).
+/// the world (3), one-rank groups (the flat schedule), and a single
+/// all-rank group (no inter stage).
 class HierScheduleTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {
  protected:
@@ -405,115 +417,159 @@ class HierScheduleTest
     const int sel = std::get<1>(GetParam());
     return {sel == 0 ? world() : sel, crossover_bytes};
   }
-  /// Compare a flat reference run of `body` against hierarchical runs at
-  /// each crossover, so both inter algorithms (binomial tree and
-  /// reduce_scatter+allgather) are forced regardless of payload size.
-  template <typename Fn>
-  void expect_hier_matches_flat(Fn&& body, const char* what) {
-    const auto flat =
-        run_under_schedule(world(), CollectiveSchedule::kFlat, {}, body);
+
+  /// Every rank's input, in rank order.
+  template <typename Input>
+  auto all_inputs(Input&& input) const {
+    std::vector<decltype(input(0))> parts;
+    for (int r = 0; r < world(); ++r) {
+      parts.push_back(input(r));
+    }
+    return parts;
+  }
+
+  /// Run `collective` on every rank, launched with this case's spec at
+  /// each crossover — so both inter algorithms (binomial tree and
+  /// reduce_scatter+allgather) are forced regardless of payload size —
+  /// and expect every rank to return exactly `expected`'s bytes.
+  template <typename T, typename Fn>
+  void expect_every_rank(const std::vector<T>& expected, Fn&& collective,
+                         const char* what) {
     for (const std::size_t xover :
          {std::size_t{0}, std::size_t{64},
           std::numeric_limits<std::size_t>::max()}) {
-      const auto hier = run_under_schedule(
-          world(), CollectiveSchedule::kHierarchical, spec(xover), body);
-      EXPECT_EQ(flat, hier)
-          << what << " world=" << world() << " rpg="
-          << spec(xover).ranks_per_group << " xover=" << xover;
+      std::vector<std::vector<T>> got(static_cast<std::size_t>(world()));
+      run_spmd(
+          world(),
+          [&](Comm& comm) {
+            got[static_cast<std::size_t>(comm.rank())] = collective(comm);
+          },
+          nullptr, nullptr, spec(xover));
+      for (int r = 0; r < world(); ++r) {
+        EXPECT_EQ(to_bytes(got[static_cast<std::size_t>(r)]),
+                  to_bytes(expected))
+            << what << " rank=" << r << " world=" << world()
+            << " rpg=" << spec(xover).ranks_per_group << " xover=" << xover;
+      }
     }
   }
 };
 
-TEST_P(HierScheduleTest, AllreduceDoublesMatchesFlatBitForBit) {
+/// Rank-dependent MinLoc2 records with cross-rank ties on value, so the
+/// index tie-break and the runner-up tracking both matter.
+std::vector<MinLoc2> tied_records(int rank, std::size_t count) {
+  std::vector<MinLoc2> recs(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    recs[i] = {static_cast<double>((static_cast<std::size_t>(rank) + i) %
+                                   3) +
+                   0.25,
+               static_cast<std::uint64_t>(rank) * 100 + i,
+               std::numeric_limits<double>::max()};
+  }
+  return recs;
+}
+
+TEST_P(HierScheduleTest, AllreduceDoublesMatchesBinomialFold) {
   // 3 doubles (24 B) sit below the 64-byte crossover, 16 (128 B) above —
   // one payload per inter algorithm at that spec, and the 0/max extremes
   // force the other algorithm onto each payload too.
   for (const std::size_t len : {std::size_t{3}, std::size_t{16}}) {
-    expect_hier_matches_flat(
-        [len](Comm& comm) {
-          std::vector<double> buf(len);
-          for (std::size_t i = 0; i < len; ++i) {
-            buf[i] = hier_spread(comm.rank(), i);
-          }
+    const auto input = [len](int rank) {
+      std::vector<double> buf(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        buf[i] = hier_spread(rank, i);
+      }
+      return buf;
+    };
+    expect_every_rank(
+        serial_binomial_fold(all_inputs(input), ops::Plus{}),
+        [&](Comm& comm) {
+          std::vector<double> buf = input(comm.rank());
           allreduce(comm, std::span<double>(buf), ops::Plus{});
-          return to_bytes(buf);
+          return buf;
         },
         "allreduce");
   }
 }
 
-TEST_P(HierScheduleTest, Minloc2MatchesFlat) {
-  expect_hier_matches_flat(
-      [](Comm& comm) {
-        std::vector<MinLoc2> buf(7);
-        for (std::size_t i = 0; i < buf.size(); ++i) {
-          // Cross-rank ties on value so the index tie-break and the
-          // runner-up tracking both matter.
-          buf[i] = {static_cast<double>(
-                        (static_cast<std::size_t>(comm.rank()) + i) % 3) +
-                        0.25,
-                    static_cast<std::uint64_t>(comm.rank()) * 100 + i,
-                    std::numeric_limits<double>::max()};
-        }
+TEST_P(HierScheduleTest, Minloc2MatchesBinomialFold) {
+  const auto input = [](int rank) { return tied_records(rank, 7); };
+  expect_every_rank(
+      serial_binomial_fold(all_inputs(input), CombineMinLoc2{}),
+      [&](Comm& comm) {
+        std::vector<MinLoc2> buf = input(comm.rank());
         allreduce_minloc2(comm, std::span<MinLoc2>(buf));
-        return to_bytes(buf);
+        return buf;
       },
       "minloc2");
 }
 
-TEST_P(HierScheduleTest, AllgathervMatchesFlat) {
-  expect_hier_matches_flat(
-      [](Comm& comm) {
-        // Ragged contributions with rank-0's (and every 4th) empty.
-        const auto rank = static_cast<std::size_t>(comm.rank());
-        std::vector<std::uint64_t> mine(rank % 4);
-        for (std::size_t i = 0; i < mine.size(); ++i) {
-          mine[i] = rank * 1000 + i;
-        }
-        return to_bytes(allgatherv(
-            comm, std::span<const std::uint64_t>(mine.data(), mine.size())));
+TEST_P(HierScheduleTest, AllgathervMatchesConcatenation) {
+  // Ragged contributions with rank-0's (and every 4th) empty.
+  const auto input = [](int rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    std::vector<std::uint64_t> mine(r % 4);
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      mine[i] = r * 1000 + i;
+    }
+    return mine;
+  };
+  std::vector<std::uint64_t> expected;
+  for (const std::vector<std::uint64_t>& part : all_inputs(input)) {
+    expected.insert(expected.end(), part.begin(), part.end());
+  }
+  expect_every_rank(
+      expected,
+      [&](Comm& comm) {
+        const std::vector<std::uint64_t> mine = input(comm.rank());
+        return allgatherv(
+            comm, std::span<const std::uint64_t>(mine.data(), mine.size()));
       },
       "allgatherv");
 }
 
-TEST_P(HierScheduleTest, SplitAllreduceMatchesFlat) {
-  expect_hier_matches_flat(
-      [](Comm& comm) {
-        std::vector<double> buf(9);
-        for (std::size_t i = 0; i < buf.size(); ++i) {
-          buf[i] = hier_spread(comm.rank(), i);
-        }
+TEST_P(HierScheduleTest, SplitAllreduceMatchesBinomialFold) {
+  const auto input = [](int rank) {
+    std::vector<double> buf(9);
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = hier_spread(rank, i);
+    }
+    return buf;
+  };
+  expect_every_rank(
+      serial_binomial_fold(all_inputs(input), ops::Plus{}),
+      [&](Comm& comm) {
+        std::vector<double> buf = input(comm.rank());
         SplitAllreduce<double, ops::Plus> op;
         op.start(comm, std::span<double>(buf), ops::Plus{});
         op.finish();
-        return to_bytes(buf);
+        return buf;
       },
       "split_allreduce");
 }
 
-TEST_P(HierScheduleTest, DeferredCombineMatchesFlat) {
-  expect_hier_matches_flat(
-      [](Comm& comm) {
+TEST_P(HierScheduleTest, DeferredCombineMatchesBinomialFold) {
+  const auto input = [](int rank) { return tied_records(rank, 6); };
+  expect_every_rank(
+      serial_binomial_fold(all_inputs(input), CombineMinLoc2{}),
+      [&](Comm& comm) {
+        const std::vector<MinLoc2> recs = input(comm.rank());
         DeferredCombine<MinLoc2, CombineMinLoc2> dc;
-        dc.reserve(6);
+        dc.reserve(recs.size());
         dc.reset();
-        std::size_t sample = 0;
+        std::size_t at = 0;
         for (const std::size_t count :
              {std::size_t{2}, std::size_t{1}, std::size_t{3}}) {
           std::span<MinLoc2> claim = dc.claim(count);
-          for (std::size_t t = 0; t < count; ++t, ++sample) {
-            claim[t] = {
-                static_cast<double>(
-                    (static_cast<std::size_t>(comm.rank()) + sample) % 2) +
-                    0.25,
-                static_cast<std::uint64_t>(comm.rank()) * 100 + sample,
-                std::numeric_limits<double>::max()};
-          }
+          std::copy(recs.begin() + static_cast<std::ptrdiff_t>(at),
+                    recs.begin() + static_cast<std::ptrdiff_t>(at + count),
+                    claim.begin());
+          at += count;
         }
         dc.launch(comm, CombineMinLoc2{});
         dc.finish();
         const std::span<const MinLoc2> got = dc.records();
-        return to_bytes(std::vector<MinLoc2>(got.begin(), got.end()));
+        return std::vector<MinLoc2>(got.begin(), got.end());
       },
       "deferred_combine");
 }
@@ -524,21 +580,90 @@ INSTANTIATE_TEST_SUITE_P(Shapes, HierScheduleTest,
                                             ::testing::Values(1, 3, 0)));
 
 TEST(HierSchedule, ScopedGuardInstallsAndRestores) {
-  const CollectiveSchedule before = default_collective_schedule();
-  const HierarchySpec before_spec = default_hierarchy_spec();
+  const HierarchySpec before = default_hierarchy_spec();
   {
     const ScopedCollectiveSchedule guard(CollectiveSchedule::kHierarchical,
                                          {4, 99});
-    EXPECT_EQ(default_collective_schedule(),
-              CollectiveSchedule::kHierarchical);
     EXPECT_EQ(default_hierarchy_spec().ranks_per_group, 4);
     EXPECT_EQ(default_hierarchy_spec().crossover_bytes, 99u);
+    run_spmd(2, [](Comm& comm) {
+      EXPECT_EQ(comm.hierarchy().ranks_per_group, 4);
+      EXPECT_EQ(comm.hierarchy().crossover_bytes, 99u);
+    });
+    {
+      // kFlat installs the width-1 spec whatever spec rides along.
+      const ScopedCollectiveSchedule flat(CollectiveSchedule::kFlat, {4, 99});
+      EXPECT_EQ(default_hierarchy_spec().ranks_per_group, 1);
+      EXPECT_EQ(default_hierarchy_spec().crossover_bytes,
+                HierarchySpec{}.crossover_bytes);
+    }
+    EXPECT_EQ(default_hierarchy_spec().ranks_per_group, 4);
   }
-  EXPECT_EQ(default_collective_schedule(), before);
-  EXPECT_EQ(default_hierarchy_spec().ranks_per_group,
-            before_spec.ranks_per_group);
-  EXPECT_EQ(default_hierarchy_spec().crossover_bytes,
-            before_spec.crossover_bytes);
+  EXPECT_EQ(default_hierarchy_spec().ranks_per_group, before.ranks_per_group);
+  EXPECT_EQ(default_hierarchy_spec().crossover_bytes, before.crossover_bytes);
+}
+
+TEST(HierSchedule, RunKeepsItsLaunchSpecWhileAnotherThreadInstallsOne) {
+  // The schedule is a property of the communicator: a run that passes no
+  // spec takes the launch default once, and a different default installed
+  // on another thread mid-run must not reach its collectives (nor the
+  // sub-communicators it splits).
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 6;
+  const HierarchySpec launch{kRanks, std::numeric_limits<std::size_t>::max()};
+  const ScopedCollectiveSchedule launch_default(
+      CollectiveSchedule::kHierarchical, launch);
+  telemetry::MetricsRegistry reg;
+  std::atomic<bool> launched{false};
+  std::atomic<bool> installed{false};
+  std::atomic<bool> release{false};
+  std::thread installer([&] {
+    while (!launched.load()) {
+      std::this_thread::yield();
+    }
+    const ScopedCollectiveSchedule other(CollectiveSchedule::kFlat, {});
+    installed.store(true);
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_NO_THROW(run_spmd(
+      kRanks,
+      [&](Comm& comm) {
+        if (comm.rank() == 0) {
+          launched.store(true);
+          while (!installed.load()) {
+            std::this_thread::yield();
+          }
+        }
+        barrier(comm);
+        EXPECT_EQ(default_hierarchy_spec().ranks_per_group, 1);
+        Comm pair = comm.split(comm.rank() / 2, comm.rank());
+        for (const Comm* c : {&comm, &pair}) {
+          EXPECT_EQ(c->hierarchy().ranks_per_group, launch.ranks_per_group);
+          EXPECT_EQ(c->hierarchy().crossover_bytes, launch.crossover_bytes);
+        }
+        for (int round = 0; round < kRounds; ++round) {
+          const auto r = static_cast<std::size_t>(round);
+          std::vector<double> buf{hier_spread(comm.rank(), r)};
+          allreduce(comm, std::span<double>(buf), ops::Plus{});
+          std::vector<std::vector<double>> parts;
+          for (int q = 0; q < kRanks; ++q) {
+            parts.push_back({hier_spread(q, r)});
+          }
+          EXPECT_EQ(to_bytes(buf),
+                    to_bytes(serial_binomial_fold(parts, ops::Plus{})));
+        }
+      },
+      nullptr, &reg));
+  launched.store(true);
+  release.store(true);
+  installer.join();
+  // Only the launch spec's single four-rank group folds inside a group:
+  // its leader ticks 2*log2(4) intra rounds per allreduce. The flat
+  // default the other thread installed would have ticked none.
+  EXPECT_EQ(reg.merged().counter_or_zero("swmpi.hier.allreduce.intra_rounds"),
+            static_cast<std::uint64_t>(kRounds) * 4);
 }
 
 }  // namespace
