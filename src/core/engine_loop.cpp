@@ -1,5 +1,6 @@
 #include "core/engine_loop.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "core/metrics.hpp"
@@ -42,7 +43,7 @@ EngineRun::EngineRun(Level level, const char* name,
   if (config.gemm_assign && !gemm) {
     SWHKM_WARN << name << ": GEMM scratch for tile_samples="
                << config.tile_samples
-               << " overflows LDM; using the chain kernel (bit-identical)";
+               << " overflows LDM; pricing the chain kernel (bit-identical)";
   }
   result.assignments.assign(dataset.n(), 0);
   result.centroids = std::move(initial_centroids);
@@ -99,12 +100,14 @@ void EngineLoop::begin_iteration(std::size_t iter) {
   if (gating) {
     compute_safe_radii(centroids, safe);
   }
+  // Drift is only published on gated runs; without it the cache has no
+  // invalidation signal, so recompute all k rows each iteration. The host
+  // selector always needs the norms; the model charges the refresh only
+  // where it prices the GEMM kernel.
+  const std::size_t norm_rows =
+      gating ? norm_cache_.refresh_from_drift(centroids, drift)
+             : norm_cache_.refresh_full(centroids);
   if (run.gemm) {
-    // Drift is only published on gated runs; without it the cache has no
-    // invalidation signal, so recompute all k rows each iteration.
-    const std::size_t norm_rows =
-        gating ? norm_cache_.refresh_from_drift(centroids, drift)
-               : norm_cache_.refresh_full(centroids);
     tally.compute_s +=
         static_cast<double>(norm_rows) * machine.gemm_row_seconds(run.d);
     // Norm refresh seconds are charged above, but its O(k d) products stay
@@ -330,11 +333,9 @@ void EngineLoop::close() {
 }
 
 FullKSweep::FullKSweep(EngineLoop& loop) : loop_(loop) {
-  for (Slot& s : slots_) {
-    s.scores.resize(loop.run.tile_samples);
-    if (loop.gate) {
-      s.ids.reserve(loop.run.tile_samples);
-    }
+  scores_.resize(loop.run.tile_samples);
+  if (loop.gate) {
+    ids_.reserve(loop.run.tile_samples);
   }
 }
 
@@ -342,30 +343,30 @@ FullKSweep::Block FullKSweep::run(std::size_t begin, std::size_t end) {
   EngineLoop& l = loop_;
   const std::size_t k = l.run.k;
   Block block;
-  const auto stage = [&](Slot& s) {
+  for (std::size_t t0 = begin; t0 < end; t0 += l.run.tile_samples) {
+    const std::size_t t1 = std::min(end, t0 + l.run.tile_samples);
+    l.tile_event(telemetry::FlightEventKind::kTileStart, t0, t1);
+    // Ungated tiles score every sample, so scores_[pos] is sample t0 + pos.
     if (!l.gating) {
-      l.score(s.t0, 0, k, std::span<TileScore2>(s.scores.data(), s.t1 - s.t0));
-      return;
+      l.score(t0, 0, k, std::span<TileScore2>(scores_.data(), t1 - t0));
+    } else {
+      ids_.clear();
+      block.tightened += gate_tile(l.dataset, l.centroids, t0, t1,
+                                   l.assignments, l.drift, l.digest, l.safe,
+                                   l.upper, l.lower, /*tighten=*/true, ids_);
+      if (l.survivor_hist != nullptr) {
+        l.survivor_hist->observe(static_cast<double>(ids_.size()));
+      }
+      if (!ids_.empty()) {
+        l.score_ids(std::span<const std::uint32_t>(ids_.data(), ids_.size()),
+                    0, k, std::span<TileScore2>(scores_.data(), ids_.size()));
+      }
     }
-    s.ids.clear();
-    block.tightened += gate_tile(l.dataset, l.centroids, s.t0, s.t1,
-                                 l.assignments, l.drift, l.digest, l.safe,
-                                 l.upper, l.lower, /*tighten=*/true, s.ids);
-    if (l.survivor_hist != nullptr) {
-      l.survivor_hist->observe(static_cast<double>(s.ids.size()));
-    }
-    if (!s.ids.empty()) {
-      l.score_ids(std::span<const std::uint32_t>(s.ids.data(), s.ids.size()),
-                  0, k, std::span<TileScore2>(s.scores.data(), s.ids.size()));
-    }
-  };
-  // Ungated tiles scored every sample, so scores[pos] is sample t0 + pos.
-  const auto retire = [&](Slot& s) {
     std::size_t pos = 0;
-    for (std::size_t i = s.t0; i < s.t1; ++i) {
+    for (std::size_t i = t0; i < t1; ++i) {
       std::uint32_t j;
-      if (!l.gating || (pos < s.ids.size() && s.ids[pos] == i)) {
-        const TileScore2& rec = s.scores[pos];
+      if (!l.gating || (pos < ids_.size() && ids_[pos] == i)) {
+        const TileScore2& rec = scores_[pos];
         j = static_cast<std::uint32_t>(rec.index);
         l.assignments[i] = j;
         if (l.gate) {
@@ -378,8 +379,8 @@ FullKSweep::Block FullKSweep::run(std::size_t begin, std::size_t end) {
       l.acc.add_sample(j, l.dataset.sample(i));
     }
     block.unresolved += pos;
-  };
-  l.drive_tiles(slots_, begin, end, l.run.tile_samples, stage, retire);
+    l.tile_event(telemetry::FlightEventKind::kTileEnd, t0, t1);
+  }
   samples_ += end - begin;
   totals_.unresolved += block.unresolved;
   totals_.tightened += block.tightened;
@@ -405,7 +406,7 @@ void FullKSweep::hide_dma(std::uint64_t max_block_samples,
   EngineLoop& l = loop_;
   const std::size_t tile_samples = l.run.tile_samples;
   const double tile_dma_s = sample_dma_s + centroid_dma_s;
-  if (!(l.pipeline && max_block_samples > tile_samples && tile_dma_s > 0)) {
+  if (!(max_block_samples > tile_samples && tile_dma_s > 0)) {
     return;
   }
   const std::size_t ntiles =

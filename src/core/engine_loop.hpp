@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -35,8 +34,8 @@ namespace swhkm::core::detail {
 // points where each level adds its charges: per CostTally field, the order
 // of `+=` is what keeps the model bit-stable.
 
-/// Run-wide state shared by every rank: the validated inputs, the resolved
-/// kernel and tile size, the collective schedule, and the result
+/// Run-wide state shared by every rank: the validated inputs, the priced
+/// kernel and the resolved tile size, the collective schedule, and the result
 /// — whose centroids are the one shared read-only snapshot all ranks score
 /// against (refreshed only at the bulk-synchronous iteration edge inside
 /// reduce_and_update), so centroid memory is O(k*d) per run, not per rank.
@@ -57,8 +56,9 @@ struct EngineRun {
   const std::size_t k = config.k;
   const std::size_t d = dataset.d();
   const std::size_t eb = machine.elem_bytes;
-  // GEMM output is byte-identical to the chain kernel, so an LDM too small
-  // for the candidate/norm scratch downgrades the kernel instead of
+  // The kernel the model prices; the host always runs the GEMM selector,
+  // whose records are byte-identical to the chain kernel's. An LDM too
+  // small for the candidate/norm scratch prices the chain kernel instead of
   // rejecting a tile that fits without it; record-footprint overflow still
   // throws through resolve_tile_samples.
   const bool gemm = config.gemm_assign &&
@@ -90,14 +90,6 @@ struct AssignOutcome {
   double sweep_row_s = 0;         ///< seconds per swept row (ABFT base)
 };
 
-/// Slot bookkeeping for the double-buffered tile driver; policies derive
-/// their slot type (score buffers, deferred combines) from it.
-struct TileSlotBase {
-  std::size_t t0 = 0;
-  std::size_t t1 = 0;
-  bool valid = false;
-};
-
 /// One rank's loop: the state every level shares, and the phases
 /// run_engine calls in order each iteration.
 class EngineLoop {
@@ -120,7 +112,8 @@ class EngineLoop {
 
   /// Clear `scores` and score samples [t0, t0 + scores.size()) — or the
   /// compacted gate survivors `ids` — against centroid rows
-  /// [j_begin, j_end) with the active kernel (an empty slice only clears).
+  /// [j_begin, j_end) through the GEMM selector (an empty slice only
+  /// clears).
   template <typename Rec>
   void score(std::size_t t0, std::size_t j_begin, std::size_t j_end,
              std::span<Rec> scores) {
@@ -133,51 +126,13 @@ class EngineLoop {
               j_end, scores);
   }
 
-  /// Double-buffered tile driver over [begin, end) in steps of `step`.
-  /// Pipelined, it stages tile t+1 (stage: gate + score into the spare
-  /// slot, modelling its DMA — or at Level 3 its combine — landing under
-  /// this sweep) before retiring tile t (retire: merge). Retire order
-  /// stays ascending, so the accumulator's summation order — and the
-  /// centroid bits — cannot move. Two slots is exactly the depth the
-  /// overlap needs.
-  template <typename Slot, typename Stage, typename Retire>
-  void drive_tiles(Slot (&slots)[2], std::size_t begin, std::size_t end,
-                   std::size_t step, Stage&& stage, Retire&& retire) {
-    const auto open = [&](Slot& s, std::size_t t0) {
-      s.t0 = t0;
-      s.t1 = std::min(end, t0 + step);
-      s.valid = true;
-      if (flight != nullptr) {
-        flight->record(telemetry::FlightEventKind::kTileStart,
-                       static_cast<std::uint32_t>(global_iter), 0, t0, s.t1);
-      }
-      stage(s);
-    };
-    const auto close_slot = [&](Slot& s) {
-      retire(s);
-      s.valid = false;
-      if (flight != nullptr) {
-        flight->record(telemetry::FlightEventKind::kTileEnd,
-                       static_cast<std::uint32_t>(global_iter), 0, s.t0,
-                       s.t1);
-      }
-    };
-    int cur = 0;
-    for (std::size_t t0 = begin; t0 < end; t0 += step) {
-      open(slots[cur], t0);
-      if (!pipeline) {
-        close_slot(slots[cur]);
-        continue;
-      }
-      // Tile t-1 retires only after tile t is staged: its traffic kept
-      // landing under this tile's gate + sweep.
-      if (slots[cur ^ 1].valid) {
-        close_slot(slots[cur ^ 1]);
-      }
-      cur ^= 1;
-    }
-    if (pipeline && slots[cur ^ 1].valid) {
-      close_slot(slots[cur ^ 1]);
+  /// Flight-record a tile boundary (kTileStart / kTileEnd) for samples
+  /// [t0, t1); a no-op without a flight ring.
+  void tile_event(telemetry::FlightEventKind kind, std::size_t t0,
+                  std::size_t t1) {
+    if (flight != nullptr) {
+      flight->record(kind, static_cast<std::uint32_t>(global_iter), 0, t0,
+                     t1);
     }
   }
 
@@ -207,7 +162,6 @@ class EngineLoop {
   const bool spans_on = tel != nullptr && tel->config().wall_spans;
 
   const bool gate = run.config.gate_assign;
-  const bool pipeline = run.config.pipeline_tiles;
   const bool sdc = run.config.sdc_checks;
   UpdateAccumulator acc{run.k, run.d};
   /// (k*d + k) accumulator bytes — the update reduce_scatter payload.
@@ -238,16 +192,11 @@ class EngineLoop {
     if (j_begin >= j_end) {
       return;
     }
-    if (run.gemm) {
-      const std::size_t fallback_rows =
-          score_tile_gemm_gen(dataset, index, scores.size(), centroids, norms,
-                              j_begin, j_end, scores, gemm_hooks_);
-      if (fallback_ctr_ != nullptr) {
-        fallback_ctr_->add(fallback_rows);
-      }
-    } else {
-      score_tile_gen(dataset, index, scores.size(), centroids, j_begin, j_end,
-                     scores);
+    const std::size_t fallback_rows =
+        score_tile_gemm_gen(dataset, index, scores.size(), centroids, norms,
+                            j_begin, j_end, scores, gemm_hooks_);
+    if (fallback_ctr_ != nullptr) {
+      fallback_ctr_->add(fallback_rows);
     }
   }
   telemetry::Counter* counter(const char* name, bool ledger_rank = true) {
@@ -262,7 +211,7 @@ class EngineLoop {
   // Rows whose GEMM candidate list overflowed into the exact full-slice
   // sweep (coincident-centroid piles); every rank counts its own slice.
   telemetry::Counter* const fallback_ctr_ =
-      counter("engine.gemm.fallback_rows", run.gemm);
+      counter("engine.gemm.fallback_rows");
   telemetry::Counter* const sim_net_ = counter("sim.net_bytes", cg == 0);
   telemetry::Counter* const sim_dma_ = counter("sim.dma_bytes", cg == 0);
   double rank_clock_ = 0;
@@ -289,12 +238,12 @@ class EngineLoop {
 
 /// The full-k block sweep Levels 1 and 2 share: each block (a Level 1 CPE's
 /// samples, a Level 2 CPE group's flow unit) gates each tile against the
-/// bounds and scores all k centroids for the unresolved survivors through
-/// the shared cache-blocked kernel. The merge walks the whole tile in
-/// ascending i — resolved samples accumulate under their stored
-/// assignment, swept ones under the fresh argmin — so the fused sums keep
-/// the exact summation order of the ungated sweep and the centroid bits
-/// cannot move.
+/// bounds, scores all k centroids for the unresolved survivors through the
+/// GEMM selector, and merges the tile before the next one. The merge walks
+/// the whole tile in ascending i — resolved samples accumulate under their
+/// stored assignment, swept ones under the fresh argmin — so the fused sums
+/// keep the exact summation order of the ungated sweep and the centroid
+/// bits cannot move.
 class FullKSweep {
  public:
   /// Samples one block left unresolved, and of those the gate tightened.
@@ -312,22 +261,20 @@ class FullKSweep {
   /// restart for the next iteration).
   AssignOutcome outcome(double sweep_row_s);
 
-  /// Tile pipeline overlap: the double buffer lets tile t+1's sample and
-  /// centroid DMA land under tile t's sweep, hiding up to a (T-1)/T share
+  /// Modeled tile overlap: the machine double-buffers tile t+1's sample
+  /// and centroid DMA under tile t's sweep, hiding up to a (T-1)/T share
   /// of the sweep (T tiles in the largest block). Hidden seconds come
   /// proportionally out of the two DMA phases and move into
-  /// overlapped_dma_s, so total_s() shrinks by exactly what the pipeline
-  /// bought.
+  /// overlapped_dma_s, so total_s() shrinks by exactly what the overlap
+  /// bought. On the host one thread runs the tiles in order; the overlap
+  /// is the model's.
   void hide_dma(std::uint64_t max_block_samples, double sample_dma_s,
                 double centroid_dma_s, double sweep_compute_s);
 
  private:
-  struct Slot : TileSlotBase {
-    std::vector<std::uint32_t> ids;
-    std::vector<TileScore2> scores;
-  };
   EngineLoop& loop_;
-  Slot slots_[2];
+  std::vector<std::uint32_t> ids_;  // the tile's gate survivors
+  std::vector<TileScore2> scores_;
   std::uint64_t samples_ = 0;
   Block totals_;
 };

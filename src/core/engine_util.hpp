@@ -196,9 +196,10 @@ inline constexpr auto sample_block_chains = &sample_block_chains_generic;
 
 /// Score centroids [j_begin, j_end) against `count` samples named by
 /// `sample_index(0..count-1)` and combine into `scores` (one record per
-/// sample, caller-initialised — see clear_scores). Shared by the serial
-/// baseline and all three engines, through the score_tile /
-/// score_tile_ids entry points below.
+/// sample, caller-initialised — see clear_scores). Serial Lloyd's kernel
+/// and, through the score_tile / score_tile_ids entry points below, the
+/// independent oracle the GEMM selector's records are tested against; the
+/// engines run the selector.
 ///
 /// Structure: centroid rows are processed in blocks of kCentroidRowBlock,
 /// each block transposed into a u-major double panel that stays hot in L1

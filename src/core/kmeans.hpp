@@ -67,21 +67,13 @@ struct KmeansConfig {
   /// to their centroid. Exact — trajectories stay bit-identical to serial
   /// Lloyd; off reproduces the seed engines' every-sample sweep.
   bool gate_assign = true;
-  /// Double-buffered tile pipeline in the engines' assign loop: tile t+1
-  /// is gated/scored while tile t's argmin combine drains (level 3 issues
-  /// the combine split-phase so the wait really overlaps; levels 1/2
-  /// overlap the modelled tile DMA), and the cost model moves the hidden
-  /// seconds into CostTally::overlapped_*. Exact — tiles are disjoint
-  /// sample ranges and the combine association is unchanged, so
-  /// trajectories stay bit-identical to serial Lloyd; off restores the
-  /// strictly sequential tile loop and the no-overlap cost model.
-  bool pipeline_tiles = true;
-  /// GEMM-formulated survivor sweep: score unresolved tiles through the
-  /// ||x||^2 + ||c||^2 - 2 X C^T panel product with per-iteration cached
-  /// centroid norms, exact top-two rescore of each row's tau-bounded
-  /// candidate set. Exact — records are byte-identical to the multi-chain
-  /// kernel and serial Lloyd (see engine_util.hpp); off restores the
-  /// multi-chain (x-c)^2 kernel and its cost model.
+  /// GEMM-formulated survivor sweep in the cost model: price swept rows at
+  /// the ||x||^2 + ||c||^2 - 2 X C^T panel rate (plus the per-iteration
+  /// centroid-norm refresh and the GEMM scratch's LDM footprint); off
+  /// prices the multi-chain (x-c)^2 kernel instead. The host runs the GEMM
+  /// selector either way — its records are byte-identical to the chain
+  /// kernel and serial Lloyd (see engine_util.hpp) — so this field moves
+  /// modeled numbers only, never a result bit.
   bool gemm_assign = true;
   /// s-step deferred reduction (Level 3 only — the other levels resolve
   /// tiles on the register bus, not the network): fold this many

@@ -163,8 +163,27 @@ class Level3Grid {
         }
       }
       unresolved_ += pos;
+      loop.tile_event(telemetry::FlightEventKind::kTileEnd, s.t0, s.t1);
     };
-    loop.drive_tiles(slots_, begin, end, span_samples_, stage, retire);
+    // Double buffer: span t retires only after span t+1 is staged, so its
+    // combine keeps draining under that span's gate + sweep. Retire order
+    // stays ascending, so the accumulator's summation order — and the
+    // centroid bits — cannot move.
+    SpanSlot* staged = nullptr;
+    for (std::size_t t0 = begin; t0 < end; t0 += span_samples_) {
+      SpanSlot& s = staged == &slots_[0] ? slots_[1] : slots_[0];
+      s.t0 = t0;
+      s.t1 = std::min(end, t0 + span_samples_);
+      loop.tile_event(telemetry::FlightEventKind::kTileStart, s.t0, s.t1);
+      stage(s);
+      if (staged != nullptr) {
+        retire(*staged);
+      }
+      staged = &s;
+    }
+    if (staged != nullptr) {
+      retire(*staged);
+    }
     if (loop.spans_on && drain_first_us >= 0 && p_ > 1) {
       loop.tel->spans().record("combine_drain",
                                static_cast<std::uint32_t>(loop.cg),
@@ -209,7 +228,7 @@ class Level3Grid {
 
   /// Per-sample mesh reduce of the CPEs' distance partials, then the
   /// per-sample network argmin across the CG group — both compacted to the
-  /// unresolved samples — and the span pipeline's overlap.
+  /// unresolved samples — and the span double buffer's overlap.
   void charge_exchange(detail::EngineLoop& loop) {
     const detail::EngineRun& run = loop.run;
     simarch::CostTally& tally = loop.tally;
@@ -228,14 +247,14 @@ class Level3Grid {
       }
     }
 
-    // Tile pipeline overlap: all but the first span's combine drain (and
-    // centroid reload) issue under another span's distance sweep, so up to
-    // a (T-1)/T share of the sweep hides that traffic. The combine is
-    // hidden first (it is the phase the split-phase start/finish really
+    // Span overlap: all but the first span's combine drain (and centroid
+    // reload) issue under another span's distance sweep, so up to a
+    // (T-1)/T share of the sweep hides that traffic. The combine is hidden
+    // first (it is the phase the split-phase start/finish really
     // overlaps); leftover window hides the modelled centroid re-stream.
     // Hidden seconds move into the overlapped_* ledgers — total_s()
-    // shrinks by exactly what the pipeline bought.
-    if (loop.pipeline && count_ > span_samples_) {
+    // shrinks by exactly what the overlap bought.
+    if (count_ > span_samples_) {
       const std::size_t ntiles = (count_ + span_samples_ - 1) / span_samples_;
       const double window = sweep_compute_s_ *
                             static_cast<double>(ntiles - 1) /
@@ -253,10 +272,11 @@ class Level3Grid {
   }
 
  private:
-  /// Double-buffered span slot: the pipelined loop stages span t+1 (gate +
-  /// score each sub-tile, one deferred-combine launch) while span t's
-  /// combine drains.
-  struct SpanSlot : detail::TileSlotBase {
+  /// Double-buffered span slot: span t+1 is staged (gate + score each
+  /// sub-tile, one deferred-combine launch) while span t's combine drains.
+  struct SpanSlot {
+    std::size_t t0 = 0;
+    std::size_t t1 = 0;
     std::vector<std::uint32_t> ids;
     swmpi::DeferredCombine<swmpi::MinLoc2, swmpi::CombineMinLoc2> dc;
   };

@@ -1,6 +1,7 @@
 #include "core/partition.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -468,12 +469,24 @@ std::size_t resolve_tile_samples(std::size_t requested,
   // records stay live at once.
   const std::size_t live_tiles =
       plan.level == Level::kLevel3 ? sstep_tiles : 1;
-  const std::size_t record_bytes = requested * kScoreBytes * live_tiles;
+  // Saturating arithmetic: a product past SIZE_MAX must read as "too big",
+  // not wrap to a small footprint that passes the budget check.
+  const auto mul = [](std::size_t a, std::size_t b) {
+    std::size_t r = 0;
+    return __builtin_mul_overflow(a, b, &r) ? SIZE_MAX : r;
+  };
+  const auto add = [](std::size_t a, std::size_t b) {
+    std::size_t r = 0;
+    return __builtin_add_overflow(a, b, &r) ? SIZE_MAX : r;
+  };
+  const std::size_t record_bytes =
+      mul(mul(requested, kScoreBytes), live_tiles);
   const std::size_t gemm_bytes =
-      gemm_assign ? requested * kGemmSampleScratchBytes +
-                        static_cast<std::size_t>(plan.k_local) * sizeof(double)
-                  : 0;
-  const std::size_t need = record_bytes + gemm_bytes;
+      gemm_assign
+          ? add(mul(requested, kGemmSampleScratchBytes),
+                mul(static_cast<std::size_t>(plan.k_local), sizeof(double)))
+          : 0;
+  const std::size_t need = add(record_bytes, gemm_bytes);
   const std::size_t budget = plan.cpes_per_cg * machine.ldm_bytes;
   if (requested == 0 || need > budget) {
     throw InfeasibleError(

@@ -133,7 +133,7 @@ std::size_t resolve_tile_samples(std::size_t requested,
 
 /// Whether the GEMM sweep's candidate/norm scratch fits in LDM alongside
 /// the tile's records. The GEMM kernel is an optimisation with
-/// byte-identical output, so the engines consult this and fall back to the
+/// byte-identical output, so the engines consult this and price the
 /// multi-chain kernel — instead of rejecting a configuration that is
 /// feasible without the scratch — when it returns false.
 bool gemm_scratch_fits(std::size_t tile_samples, const PartitionPlan& plan,

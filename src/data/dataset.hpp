@@ -43,8 +43,9 @@ class Dataset {
   std::size_t d() const { return samples_.cols(); }
   bool empty() const { return samples_.empty(); }
 
+  /// Read-only: every write goes through the validating constructor, so a
+  /// Dataset holds finite coordinates for its whole life.
   const util::Matrix& samples() const { return samples_; }
-  util::Matrix& samples() { return samples_; }
   std::span<const float> sample(std::size_t i) const {
     return samples_.row(i);
   }

@@ -31,6 +31,14 @@ void transform(util::Matrix& matrix, const ScalingParams& params,
   }
 }
 
+/// Scale a copy of `dataset`'s samples and rebuild it through the
+/// validating constructor, so the scaled dataset is re-checked finite.
+void rescale(Dataset& dataset, const ScalingParams& params) {
+  util::Matrix scaled = dataset.samples();
+  apply_scaling(params, scaled);
+  dataset = Dataset(dataset.name(), std::move(scaled));
+}
+
 }  // namespace
 
 ScalingParams minmax_scale(Dataset& dataset) {
@@ -44,7 +52,7 @@ ScalingParams minmax_scale(Dataset& dataset) {
     const double range = static_cast<double>(hi[u]) - lo[u];
     params.scale[u] = range > 0 ? 1.0 / range : 0.0;
   }
-  apply_scaling(params, dataset.samples());
+  rescale(dataset, params);
   return params;
 }
 
@@ -67,7 +75,7 @@ ScalingParams zscore_scale(Dataset& dataset) {
         std::sqrt(variance[u] / static_cast<double>(dataset.n()));
     params.scale[u] = stddev > 0 ? 1.0 / stddev : 0.0;
   }
-  apply_scaling(params, dataset.samples());
+  rescale(dataset, params);
   return params;
 }
 

@@ -17,12 +17,13 @@ struct ScalingParams {
   bool empty() const { return offset.empty(); }
 };
 
-/// Scale every dimension to [0, 1] in place (constant dimensions map to
-/// 0). Returns the parameters for inversion.
+/// Scale every dimension to [0, 1] (constant dimensions map to 0),
+/// replacing `dataset` with its scaled, re-validated copy. Returns the
+/// parameters for inversion.
 ScalingParams minmax_scale(Dataset& dataset);
 
-/// Standardise every dimension to mean 0, stddev 1 in place (constant
-/// dimensions map to 0).
+/// Standardise every dimension to mean 0, stddev 1 (constant dimensions
+/// map to 0), replacing `dataset` as minmax_scale does.
 ScalingParams zscore_scale(Dataset& dataset);
 
 /// Apply previously computed parameters to another matrix with the same

@@ -21,13 +21,13 @@ struct CostTally {
   double net_comm_s = 0;         ///< inter-CG / inter-node MPI traffic
   double update_s = 0;           ///< centroid recomputation after reduce
 
-  // Seconds *hidden* by the double-buffered tile pipeline: DMA (sample /
+  // Seconds *hidden* by the modeled double-buffered tiles: DMA (sample /
   // centroid streaming) or per-tile combine traffic issued under the
   // previous tile's distance sweep. Already subtracted from the phase
   // fields above, so total_s() — still the plain sum of those fields —
   // reflects the shortened critical path; these ledgers only record how
-  // much the overlap bought. Zero when KmeansConfig::pipeline_tiles is
-  // off, which restores the strict no-overlap model.
+  // much the overlap bought, and adding them back gives the strict
+  // no-overlap clock.
   double overlapped_dma_s = 0;   ///< tile DMA hidden under compute
   double overlapped_net_s = 0;   ///< tile combine traffic hidden under compute
 

@@ -5,6 +5,8 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -70,6 +72,12 @@ TEST(Dataset, RejectsNonFiniteSamplesNamingTheEntry) {
                    std::numeric_limits<float>::denorm_min()}));
   EXPECT_EQ(edge.n(), 1u);
 }
+
+// Samples are read-only even through a non-const Dataset: a write after
+// construction would bypass the finite-coordinate check above.
+static_assert(
+    std::is_same_v<decltype(std::declval<Dataset&>().samples()),
+                   const util::Matrix&>);
 
 TEST(Dataset, InfoCarriesShape) {
   Dataset ds("named", util::Matrix(7, 2));

@@ -12,11 +12,13 @@ namespace {
 using simarch::MachineConfig;
 
 /// Cross-product parity grid: every engine level under every combination
-/// of the engine toggles (bound gate, GEMM sweep, tile pipeline,
+/// of the engine toggles that change host execution (bound gate,
 /// hierarchical collectives, s-step fold, SDC defense) must land
 /// bit-identical to serial Lloyd — same iteration count, same assignments,
 /// same centroid bits. One shared iteration loop runs all three levels, so
-/// this grid is the net under any change to it.
+/// this grid is the net under any change to it. (`gemm_assign` only picks
+/// the priced kernel — the host runs the GEMM selector either way — so the
+/// grid runs the shipped GEMM pricing; GemmEngineTest covers chain pricing.)
 ///
 /// The shape is ragged on purpose: n = 1001 divides by neither the tile
 /// nor any rank/CPE/flow-unit count, k = 7 leaves a short last slice for
@@ -53,17 +55,14 @@ const KmeansResult& grid_reference() {
   return ref;
 }
 
-// level, gate_assign, gemm_assign, pipeline_tiles, hier_collectives,
-// sstep_tiles, sdc_checks
-using GridParam = std::tuple<Level, bool, bool, bool, bool, std::size_t, bool>;
+// level, gate_assign, hier_collectives, sstep_tiles, sdc_checks
+using GridParam = std::tuple<Level, bool, bool, std::size_t, bool>;
 
 std::string grid_name(const ::testing::TestParamInfo<GridParam>& info) {
-  const auto [level, gate, gemm, pipeline, hier, sstep, sdc] = info.param;
+  const auto [level, gate, hier, sstep, sdc] = info.param;
   std::string name = "L";
   name += std::to_string(static_cast<int>(level));
   name += gate ? "_gate" : "_nogate";
-  name += gemm ? "_gemm" : "_chain";
-  name += pipeline ? "_pipe" : "_seq";
   name += hier ? "_hier" : "_flat";
   name += "_s" + std::to_string(sstep);
   name += sdc ? "_sdc" : "_nosdc";
@@ -73,14 +72,12 @@ std::string grid_name(const ::testing::TestParamInfo<GridParam>& info) {
 class EngineGrid : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(EngineGrid, BitIdenticalToSerialLloyd) {
-  const auto [level, gate, gemm, pipeline, hier, sstep, sdc] = GetParam();
+  const auto [level, gate, hier, sstep, sdc] = GetParam();
   const MachineConfig machine =
       MachineConfig::tiny(kNodes, kCpesPerCg, kLdmBytes);
   ASSERT_GT(machine.num_supernodes(), 1u);
   KmeansConfig config = grid_base_config();
   config.gate_assign = gate;
-  config.gemm_assign = gemm;
-  config.pipeline_tiles = pipeline;
   config.hier_collectives = hier;
   config.sstep_tiles = sstep;
   config.sdc_checks = sdc;
@@ -89,7 +86,7 @@ TEST_P(EngineGrid, BitIdenticalToSerialLloyd) {
   const PartitionPlan plan =
       make_plan(level, shape, machine, level == Level::kLevel2 ? kMGroup : 0,
                 level == Level::kLevel3 ? kMprimeGroup : 0);
-  // The GEMM cells must really run the GEMM sweep, not its downgrade.
+  // The cells must really price the GEMM sweep, not its downgrade.
   ASSERT_TRUE(gemm_scratch_fits(kTileSamples, plan, machine, sstep));
 
   const KmeansResult got = run_plan(plan, grid_dataset(), config, machine);
@@ -114,8 +111,7 @@ INSTANTIATE_TEST_SUITE_P(
     Toggles, EngineGrid,
     ::testing::Combine(::testing::Values(Level::kLevel1, Level::kLevel2,
                                          Level::kLevel3),
-                       ::testing::Bool(), ::testing::Bool(), ::testing::Bool(),
-                       ::testing::Bool(),
+                       ::testing::Bool(), ::testing::Bool(),
                        ::testing::Values(std::size_t{1}, std::size_t{3}),
                        ::testing::Bool()),
     grid_name);

@@ -124,10 +124,11 @@ TEST_P(EngineLevelTest, ChargesSimulatedTime) {
             3 * ds.n() * ds.d() * machine.elem_bytes);
 }
 
-TEST_P(EngineLevelTest, PipelineOnAndOffAreBitIdentical) {
-  // The double-buffered tile pipeline is an execution-order change only:
-  // trajectories must match the sequential loop bit for bit, and the
-  // overlap ledger must record what the shortened critical path saved.
+TEST_P(EngineLevelTest, ShippedRunRecordsHiddenTileSeconds) {
+  // The model double-buffers tiles: tile t+1's DMA (at Level 3, span t's
+  // combine as well) lands under another tile's sweep. The one shipped
+  // tile loop must record those hidden seconds, gate on or off, and stay
+  // bit-identical to serial Lloyd.
   const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
   const data::Dataset ds = data::make_blobs(300, 10, 4, 11);
   KmeansConfig config;
@@ -136,27 +137,13 @@ TEST_P(EngineLevelTest, PipelineOnAndOffAreBitIdentical) {
   config.tile_samples = 8;  // force several tiles per worker at every level
   for (const bool gate : {false, true}) {
     config.gate_assign = gate;
-    config.pipeline_tiles = true;
-    const KmeansResult piped = run_level(GetParam(), ds, config, machine);
-    config.pipeline_tiles = false;
-    const KmeansResult plain = run_level(GetParam(), ds, config, machine);
-    EXPECT_EQ(piped.iterations, plain.iterations);
-    EXPECT_EQ(assignment_agreement(piped.assignments, plain.assignments),
-              1.0);
-    EXPECT_EQ(centroid_max_abs_diff(piped.centroids, plain.centroids), 0.0);
-    // The sequential model hides nothing; the pipelined one hides tile
-    // traffic and is never slower.
-    EXPECT_EQ(plain.cost.overlapped_dma_s + plain.cost.overlapped_net_s, 0.0);
-    EXPECT_GT(piped.cost.overlapped_dma_s + piped.cost.overlapped_net_s, 0.0);
-    EXPECT_LT(piped.cost.total_s(), plain.cost.total_s());
-    // Hidden seconds reconcile with the modelled saving. Per rank the
-    // ledger is exact; across ranks combine_tallies takes per-field maxima
-    // (critical path), and since the GEMM sweep shrank the overlap window
-    // below some ranks' tile DMA the hidden share varies by rank — the
-    // field-wise max then decomposes only to ppm, not to the last bit.
-    EXPECT_NEAR(plain.cost.total_s() - piped.cost.total_s(),
-                piped.cost.overlapped_dma_s + piped.cost.overlapped_net_s,
-                1e-6 * plain.cost.total_s());
+    const KmeansResult got = run_level(GetParam(), ds, config, machine);
+    EXPECT_GT(got.cost.overlapped_dma_s + got.cost.overlapped_net_s, 0.0)
+        << "gate " << gate;
+    const KmeansResult ref = lloyd_serial(ds, config);
+    EXPECT_EQ(got.iterations, ref.iterations);
+    EXPECT_EQ(got.assignments, ref.assignments);
+    EXPECT_EQ(centroid_max_abs_diff(got.centroids, ref.centroids), 0.0);
   }
 }
 

@@ -269,6 +269,37 @@ TEST(GatedAssign, ResolveTileSamplesValidatesAgainstLdm) {
                InfeasibleError);
 }
 
+TEST(GatedAssign, ResolveTileSamplesRejectsOverflowingFootprints) {
+  // A footprint product past SIZE_MAX must read as "too big", never wrap
+  // to a small byte count that passes the budget. Both requests below wrap
+  // to a zero-byte record footprint in plain size_t arithmetic: the Level 3
+  // span (16 x 2^62 samples) would then step its tile loop by 0 forever,
+  // and the Level 1 tile would reach the allocator.
+  const MachineConfig machine = MachineConfig::tiny(2, 4, 8192);
+  const std::size_t huge = std::size_t{1} << 62;
+  const PartitionPlan l3_plan =
+      make_plan(Level::kLevel3, ProblemShape{256, 4, 4}, machine, 0, 2);
+  const PartitionPlan l1_plan =
+      make_plan(Level::kLevel1, ProblemShape{256, 2, 4}, machine);
+  for (const bool gemm : {false, true}) {
+    EXPECT_THROW(resolve_tile_samples(16, l3_plan, machine, huge, gemm),
+                 InfeasibleError);
+    EXPECT_THROW(resolve_tile_samples(huge, l1_plan, machine, 1, gemm),
+                 InfeasibleError);
+  }
+  EXPECT_FALSE(gemm_scratch_fits(huge, l1_plan, machine));
+
+  // The engine rejects the tile through the same path instead of trying
+  // to allocate its records.
+  const data::Dataset ds = data::make_blobs(64, 4, 2, 9);
+  KmeansConfig config;
+  config.k = 2;
+  config.max_iterations = 2;
+  config.tile_samples = huge;
+  EXPECT_THROW(run_level(Level::kLevel1, ds, config, machine),
+               InfeasibleError);
+}
+
 TEST(GatedAssign, MinLoc2CombineMatchesSerialTopTwo) {
   // The top-two combine is pure selection, so any fold shape must agree
   // with a serial left-to-right scan — including duplicate distances and

@@ -194,6 +194,21 @@ TEST(GemmKernel, CoincidentCentroidsOverflowCandidateListExactly) {
   EXPECT_GE(session.metrics().merged().counter_or_zero(
                 "engine.gemm.fallback_rows"),
             config.max_iterations * 12);
+
+  // Chain pricing moves only the model: the host still runs the selector,
+  // so the pile still ticks the fallback counter and the bits hold.
+  telemetry::Telemetry chain_session;
+  config.telemetry = &chain_session;
+  config.gemm_assign = false;
+  const KmeansResult chain_priced = run_level(Level::kLevel1, engine_ds,
+                                              config, machine);
+  EXPECT_EQ(chain_priced.assignments, quiet.assignments);
+  EXPECT_EQ(std::memcmp(chain_priced.centroids.data(), quiet.centroids.data(),
+                        quiet.centroids.size() * sizeof(float)),
+            0);
+  EXPECT_GE(chain_session.metrics().merged().counter_or_zero(
+                "engine.gemm.fallback_rows"),
+            config.max_iterations * 12);
 }
 
 /// Score one slice with both kernels and both record widths, expecting

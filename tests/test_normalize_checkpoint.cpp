@@ -35,9 +35,10 @@ TEST(MinMax, RoundtripsThroughInversion) {
   data::Dataset ds = data::make_uniform(100, 3, 7, 5.0f, 9.0f);
   const data::Dataset original = ds;
   const data::ScalingParams params = data::minmax_scale(ds);
-  data::invert_scaling(params, ds.samples());
-  for (std::size_t i = 0; i < ds.samples().size(); ++i) {
-    EXPECT_NEAR(ds.samples().flat()[i], original.samples().flat()[i], 1e-4);
+  util::Matrix back = ds.samples();
+  data::invert_scaling(params, back);
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_NEAR(back.flat()[i], original.samples().flat()[i], 1e-4);
   }
 }
 

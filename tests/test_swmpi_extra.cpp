@@ -231,7 +231,7 @@ TEST_P(SplitAllreduceTest, MatchesBlockingAllreduceBitForBit) {
 }
 
 TEST_P(SplitAllreduceTest, TwoOutstandingOpsRetireInOrder) {
-  // The engines' pipeline shape: tile t+1's combine starts before tile
+  // Level 3's span double buffer: span t+1's combine starts before span
   // t's finishes, so two ops are briefly in flight back-to-back.
   const int size = GetParam();
   run_spmd(size, [&](Comm& comm) {
